@@ -1,72 +1,73 @@
-"""Full-scale reproduction run: 7 cells, 1500-wide 7-deep network,
-batch 50, 100k iterations, learning rate 1e-4, Q = -130 dBW.
+"""Full-scale reproduction run over configs/full_scale.json: 7 cells,
+1500-wide 7-deep network, batch 50, 100k iterations, learning rate 1e-4,
+Q = -130 dBW.
 
 Target: held-out spectral efficiency around 3.3 bits/s/Hz. On CPU this
-is a very long run: the forward/backward pass works through eight
-1500-wide layers on 2800 rows per iteration, which measures in the tens
-of seconds per iteration on a laptop-class core, i.e. days to weeks for
-the full 100k iterations. Use --iters to down-scale for a smoke run.
+is a very long run: every iteration pushes 2800 rows through eight
+1500-wide layers, forward and backward, which measured about 8 s per
+iteration on a 2-core x86 server with one BLAS thread, i.e. over a week
+for the full 100k iterations. Use --iters to down-scale for a smoke run.
+
+The flags override the config; everything else comes from it. Training
+and evaluation run through the `d2dpower train` and `d2dpower eval`
+commands, so the output directory holds the CLI's metrics.csv and
+checkpoint.bin, and its eval/ subdirectory the CLI's eval_report.*; each
+holds the config_resolved.json that reproduces it. Held-out drops use
+the training seed + 1.
 """
 
 import argparse
+import json
 import sys
-import time
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np
+from d2dpower import cli  # noqa: E402
 
-from d2dpower.channel import ChannelParams
-from d2dpower.evaluation import evaluate
-from d2dpower.network import NetworkConfig, save_checkpoint
-from d2dpower.objective import ConstraintConfig
-from d2dpower.topology import TopologyConfig, build_hex_layout
-from d2dpower.training import TrainConfig, train
+CONFIG = ROOT / "configs" / "full_scale.json"
+
+
+def run(command, config, *flags):
+    """Run one CLI command on `config` (a dict); exit on failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = cli.main([command, "--config", str(path), *map(str, flags)])
+    if code != cli.EXIT_OK:
+        sys.exit(code)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--iters", type=int, default=100_000)
-    parser.add_argument("--qmax-dbw", type=float, default=-130.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eval-drops", type=int, default=1000)
-    parser.add_argument("--out", type=Path, default=Path("out/full_scale"))
+    parser.add_argument("--iters", type=int, help="training.n_epoch override")
+    parser.add_argument("--qmax-dbw", type=float, help="constraints.q_max_dbw override")
+    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--eval-drops", type=int, help="evaluation.n_drops override")
+    parser.add_argument("--out", type=Path, help="out_dir override")
     args = parser.parse_args()
 
-    topo = TopologyConfig(cells=7, radius_m=500.0, pairs_per_cell=8, dmax_m=100.0)
-    cons = ConstraintConfig(p_max_w=0.25, q_max_dbw=args.qmax_dbw, c_p=3000.0, c_if=100.0)
-    cfg = TrainConfig(
-        network=NetworkConfig(width=1500, depth=7, output_size=8),
-        constraints=cons,
-        channel=ChannelParams(),
-        topology=topo,
-        n_epoch=args.iters,
-        batch_size=50,
-        lr=1e-4,
-        seed=args.seed,
-    )
-    print(f"training {args.iters} iterations at QMAX={args.qmax_dbw} dBW ...")
-    t0 = time.perf_counter()
-    params, stats, metrics = train(cfg)
-    print(f"training took {time.perf_counter() - t0:.0f}s")
+    config = json.loads(CONFIG.read_text(encoding="utf-8"))
+    for section, key, value in (
+        ("training", "n_epoch", args.iters),
+        ("constraints", "q_max_dbw", args.qmax_dbw),
+        ("evaluation", "n_drops", args.eval_drops),
+    ):
+        if value is not None:
+            config.setdefault(section, {})[key] = value
+    if args.seed is not None:
+        config["seed"] = args.seed
+    if args.out is not None:
+        config["out_dir"] = str(args.out)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, stats, args.out / "checkpoint.bin")
-    with open(args.out / "metrics.csv", "w") as f:
-        f.write("iteration,cost_total,mean_eta,ct_p,ct_if\n")
-        for m in metrics[:: max(1, len(metrics) // 10_000)]:
-            f.write(f"{m.iteration},{m.cost_total!r},{m.mean_eta!r},{m.ct_p!r},{m.ct_if!r}\n")
-
-    layout = build_hex_layout(topo.cells, topo.radius_m)
-    report = evaluate(
-        params, stats, layout, cfg.channel, cons,
-        topo.pairs_per_cell, topo.dmax_m, args.eval_drops,
-        np.random.default_rng(args.seed + 1),
+    out = Path(config["out_dir"])
+    run("train", config, "--seed", config["seed"], "--out-dir", out)
+    run(
+        "eval", config, "--seed", config["seed"] + 1,
+        "--checkpoint", out / "checkpoint.bin", "--out-dir", out / "eval",
     )
-    print(f"held-out mean eta = {report.mean_eta:.3f} bits/s/Hz (target ~3.3 +/- 0.5)")
-    print(f"pmax violation rate = {report.pmax_violation_rate:.4f}")
-    print(f"q exceed rate = {report.q_exceed_rate:.4f}")
 
 
 if __name__ == "__main__":

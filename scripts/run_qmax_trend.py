@@ -1,59 +1,79 @@
-"""Desk-scale interference-cap sweep: trains one small network per QMAX
-value and seed, then evaluates each on held-out drops.
+"""Desk-scale interference-cap sweep over configs/desk.json: trains one
+small network per QMAX value and seed, then evaluates each on held-out
+drops.
 
 Reproduces the qualitative trend of the full-scale system (tighter caps
-cost spectral efficiency) in a few minutes on a laptop.
+cost spectral efficiency) in a few minutes on a laptop. The flags
+override the config; everything else comes from it. The default sweep
+(caps, seeds, held-out seed) is the one acceptance criteria 4-6 check.
+Each run goes through the `d2dpower train` and `d2dpower eval` commands
+and keeps the CLI's outputs in <out_dir>/qmax<Q>_seed<S>/ and its eval/
+subdirectory; rasterize a run's checkpoint with `d2dpower powermap`.
 """
 
 import argparse
+import contextlib
+import csv
+import io
+import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np
+from d2dpower import cli  # noqa: E402
 
-from d2dpower.channel import ChannelParams
-from d2dpower.evaluation import evaluate
-from d2dpower.network import NetworkConfig
-from d2dpower.objective import ConstraintConfig
-from d2dpower.topology import TopologyConfig, build_hex_layout
-from d2dpower.training import TrainConfig, train
+CONFIG = ROOT / "configs" / "desk.json"
+SWEEP_QMAX_DBW = (-120.0, -135.0, -150.0)
+SWEEP_SEEDS = (1, 2, 3)
+HELDOUT_SEED = 99
+
+
+def run(command, config, *flags):
+    """Run one CLI command on `config` (a dict) quietly; exit on failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(path), *map(str, flags)])
+    if code != cli.EXIT_OK:
+        sys.exit(code)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--qmax-dbw", type=float, nargs="+", default=[-120.0, -135.0, -150.0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--iters", type=int, default=5000)
-    parser.add_argument("--eval-drops", type=int, default=1000)
+    parser.add_argument("--qmax-dbw", type=float, nargs="+", default=list(SWEEP_QMAX_DBW))
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SWEEP_SEEDS))
+    parser.add_argument("--iters", type=int, help="training.n_epoch override")
+    parser.add_argument("--eval-drops", type=int, help="evaluation.n_drops override")
     args = parser.parse_args()
 
-    topo = TopologyConfig(cells=1, radius_m=500.0, pairs_per_cell=4, dmax_m=100.0)
-    channel = ChannelParams()
-    layout = build_hex_layout(topo.cells, topo.radius_m)
+    config = json.loads(CONFIG.read_text(encoding="utf-8"))
+    if args.iters is not None:
+        config["training"]["n_epoch"] = args.iters
+    if args.eval_drops is not None:
+        config["evaluation"]["n_drops"] = args.eval_drops
     print(f"{'QMAX dBW':>9} {'seed':>5} {'eta':>7} {'pmax_viol':>10} {'q_exceed':>9} {'secs':>6}")
     for q in args.qmax_dbw:
+        config["constraints"]["q_max_dbw"] = q
         etas = []
         for seed in args.seeds:
-            cons = ConstraintConfig(p_max_w=0.25, q_max_dbw=q, c_p=3000.0, c_if=100.0)
-            cfg = TrainConfig(
-                network=NetworkConfig(width=64, depth=3, output_size=4),
-                constraints=cons, channel=channel, topology=topo,
-                n_epoch=args.iters, batch_size=16, lr=1e-3, seed=seed,
-            )
+            out = Path(config["out_dir"]) / f"qmax{q:g}_seed{seed}"
             t0 = time.perf_counter()
-            params, stats, _ = train(cfg)
-            report = evaluate(
-                params, stats, layout, channel, cons,
-                topo.pairs_per_cell, topo.dmax_m, args.eval_drops,
-                np.random.default_rng(99),
+            run("train", config, "--seed", seed, "--out-dir", out)
+            run(
+                "eval", config, "--seed", HELDOUT_SEED,
+                "--checkpoint", out / "checkpoint.bin", "--out-dir", out / "eval",
             )
-            etas.append(report.mean_eta)
+            with open(out / "eval" / "eval_report.csv", encoding="utf-8") as f:
+                report = {k: float(v) for k, v in next(csv.DictReader(f)).items()}
+            etas.append(report["mean_eta"])
             print(
-                f"{q:9.0f} {seed:5d} {report.mean_eta:7.3f} "
-                f"{report.pmax_violation_rate:10.4f} {report.q_exceed_rate:9.4f} "
+                f"{q:9.0f} {seed:5d} {report['mean_eta']:7.3f} "
+                f"{report['pmax_violation_rate']:10.4f} {report['q_exceed_rate']:9.4f} "
                 f"{time.perf_counter() - t0:6.1f}"
             )
         print(f"{q:9.0f}   median eta = {sorted(etas)[len(etas) // 2]:.3f}")

@@ -1,4 +1,4 @@
-"""dB-domain path loss with log-normal shadowing, and unit conversions.
+"""dB-domain path loss with log-normal shadowing.
 
 All link gains are kept in dB until the throughput/penalty math needs
 linear watts. Path loss follows L1 + L2*log10(d) with a minimum-distance
@@ -7,6 +7,7 @@ clamp at d0, so the gain never exceeds -(L1 + L2*log10(d0)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class ChannelParams:
     def __post_init__(self):
         if self.l2_db <= 0:
             raise ConfigurationError(f"l2_db must be positive, got {self.l2_db}")
+        if self.enb_l2_db is not None and self.enb_l2_db <= 0:
+            raise ConfigurationError(f"enb_l2_db must be positive, got {self.enb_l2_db}")
         if self.d0_m <= 0:
             raise ConfigurationError(f"d0_m must be positive, got {self.d0_m}")
         if self.shadow_sigma_db < 0:
@@ -48,11 +51,13 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class GainTable:
-    """Per-drop link gains in dB.
+    """Link gains in dB for one drop or a stack of drops.
 
-    g_d2d_db[i, j] is the gain from the transmitter of pair i to the
-    receiver of pair j; g_enb_db[i, c] from the transmitter of pair i to
-    eNB c. With per-channel shadowing both carry a trailing channel axis.
+    g_d2d_db[..., i, j] is the gain from the transmitter of pair i to the
+    receiver of pair j; g_enb_db[..., i, c] from the transmitter of pair i
+    to eNB c. Leading axes follow the drop's pair rows ([K, ...] for one
+    drop, [B, K, ...] for a stack). With per-channel shadowing both carry
+    a trailing channel axis.
     """
 
     g_d2d_db: np.ndarray
@@ -63,29 +68,27 @@ def _path_loss(d, l1: float, l2: float, d0: float):
     return l1 + l2 * np.log10(np.maximum(d, d0))
 
 
-def path_loss_db(d, params: ChannelParams):
-    """L1 + L2*log10(max(d, d0)); scalar in, scalar out."""
-    out = _path_loss(np.asarray(d, dtype=float), params.l1_db, params.l2_db, params.d0_m)
-    return float(out) if out.ndim == 0 else out
-
-
 def build_gain_table(
     drop: Drop, params: ChannelParams, rng=None, n_channels: int | None = None
 ) -> GainTable:
-    """Gain tables for one drop.
+    """Gain tables for a drop or a stack of drops.
 
     Gains are -path_loss plus one Normal(0, sigma^2) dB shadowing draw per
     link when shadowing is enabled. The spectrum is flat: one gain covers
     all channels unless per_channel_shadowing is set, in which case each
     link draws an independent shadowing term per channel and the tables
     gain a trailing axis of length n_channels.
+
+    All shadowing comes from one generator call laid out per drop as the
+    device links then the eNB links, so a stack of B drops draws exactly
+    what B single-drop calls on the same generator would.
     """
-    coords = drop.coords()
-    tx = coords[:, 0:2]
-    rx = coords[:, 2:4]
+    coords = drop.pairs
+    tx = coords[..., 0:2]
+    rx = coords[..., 2:4]
     centers = drop.layout.cell_centers
-    d_d2d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    d_enb = np.linalg.norm(tx[:, None, :] - centers[None, :, :], axis=2)
+    d_d2d = np.linalg.norm(tx[..., :, None, :] - rx[..., None, :, :], axis=-1)
+    d_enb = np.linalg.norm(tx[..., :, None, :] - centers, axis=-1)
 
     g_d2d = -_path_loss(d_d2d, params.l1_db, params.l2_db, params.d0_m)
     l1e = params.l1_db if params.enb_l1_db is None else params.enb_l1_db
@@ -95,44 +98,27 @@ def build_gain_table(
     if params.shadowing_enabled:
         if rng is None:
             raise ValueError("shadowing is enabled but no random generator was given")
-        sigma = params.shadow_sigma_db
+        lead, k = coords.shape[:-2], coords.shape[-2]
+        d2d_shape = (k, k)
+        enb_shape = (k, centers.shape[0])
         if params.per_channel_shadowing:
             if n_channels is None:
                 raise ValueError(
                     "per-channel shadowing requires n_channels to be given"
                 )
-            g_d2d = g_d2d[:, :, None] + rng.normal(0.0, sigma, g_d2d.shape + (n_channels,))
-            g_enb = g_enb[:, :, None] + rng.normal(0.0, sigma, g_enb.shape + (n_channels,))
-        else:
-            g_d2d = g_d2d + rng.normal(0.0, sigma, g_d2d.shape)
-            g_enb = g_enb + rng.normal(0.0, sigma, g_enb.shape)
+            d2d_shape += (n_channels,)
+            enb_shape += (n_channels,)
+            g_d2d = g_d2d[..., None]
+            g_enb = g_enb[..., None]
+        n_d2d = math.prod(d2d_shape)
+        draws = rng.normal(
+            0.0, params.shadow_sigma_db, lead + (n_d2d + math.prod(enb_shape),)
+        )
+        g_d2d = g_d2d + draws[..., :n_d2d].reshape(lead + d2d_shape)
+        g_enb = g_enb + draws[..., n_d2d:].reshape(lead + enb_shape)
     return GainTable(g_d2d, g_enb)
-
-
-def _maybe_scalar(x, out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def dbm_to_watt(p):
-    out = 10.0 ** ((np.asarray(p, dtype=float) - 30.0) / 10.0)
-    return _maybe_scalar(p, out)
-
-
-def watt_to_dbm(w):
-    out = 10.0 * np.log10(np.asarray(w, dtype=float)) + 30.0
-    return _maybe_scalar(w, out)
 
 
 def dbw_to_watt(p):
     out = 10.0 ** (np.asarray(p, dtype=float) / 10.0)
-    return _maybe_scalar(p, out)
-
-
-def watt_to_dbw(w):
-    out = 10.0 * np.log10(np.asarray(w, dtype=float))
-    return _maybe_scalar(w, out)
-
-
-def dbm_to_dbw(p):
-    out = np.asarray(p, dtype=float) - 30.0
-    return _maybe_scalar(p, out)
+    return float(out) if out.ndim == 0 else out

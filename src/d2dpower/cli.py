@@ -212,15 +212,15 @@ def cmd_gradcheck(args) -> int:
     channel = cfg.channel()
     rng = np.random.default_rng(cfg.seed)
     layout = build_hex_layout(topo.cells, topo.radius_m)
-    batch = sample_batch(
+    drops = sample_batch(
         layout, topo.pairs_per_cell, topo.dmax_m,
         cfg.resolved["training"]["batch_size"], rng,
     )
     n_ch = cfg.network().output_size if channel.per_channel_shadowing else None
-    tables = [build_gain_table(d, channel, rng, n_ch) for d in batch.drops]
+    gains = build_gain_table(drops, channel, rng, n_ch)
     params = init_params(cfg.network(), rng)
     max_err, n_entries = finite_difference_check(
-        params, batch, tables, cfg.constraints(), channel.noise_dbw
+        params, drops, gains, cfg.constraints(), channel.noise_dbw
     )
     threshold = 1e-4
     ok = max_err < threshold
@@ -239,7 +239,7 @@ def cmd_oracle(args) -> int:
     from .channel import build_gain_table
     from .evaluation import oracle_direct_opt, oracle_grid_search
     from .network import forward
-    from .objective import drop_cost
+    from .objective import stacked_cost
     from .topology import build_hex_layout, sample_drop
 
     topo = cfg.topology()
@@ -265,8 +265,12 @@ def cmd_oracle(args) -> int:
     rows = [("grid_search", grid_cost), ("direct_opt", direct_cost)]
     if args.checkpoint is not None:
         params, stats = _load_checkpoint_or_raise(args.checkpoint, cfg.network())
-        p, _ = forward(params, drop.coords(), "infer", stats)
-        rows.append(("checkpoint", drop_cost(gains, p, constraints, channel.noise_dbw).total))
+        p, _ = forward(params, drop.pairs, "infer", stats)
+        comp = stacked_cost(
+            p[None], gains.g_d2d_db[None], gains.g_enb_db[None], constraints,
+            channel.noise_dbw,
+        )
+        rows.append(("checkpoint", comp.total[0]))
     _write_csv(out / "oracle_comparison.csv", ("method", "cost_total"), rows)
     for method, cost in rows:
         print(f"{method}: cost_total = {_fmt(cost)}")

@@ -23,7 +23,7 @@ from .objective import (
     ConstraintConfig,
     stacked_cost,
 )
-from .topology import CellLayout, points_in_hexagon, sample_drop
+from .topology import CellLayout, Drop, flatten_batch, points_in_hexagon, sample_drop
 
 _GRID_SEARCH_BUDGET = 10_000_000
 _GRID_CHUNK = 65_536
@@ -91,14 +91,16 @@ def evaluate(
     done = 0
     while done < n_drops:
         m = min(_EVAL_CHUNK, n_drops - done)
-        drops = [sample_drop(layout, pairs_per_cell, dmax, rng) for _ in range(m)]
-        tables = [build_gain_table(d, channel, rng, n_ch) for d in drops]
-        coords = np.concatenate([d.coords() for d in drops], axis=0)
-        p_flat, _ = forward(params, coords, "infer", stats)
-        p = p_flat.reshape(m, k, n)
-        g_d2d = np.stack([t.g_d2d_db for t in tables])
-        g_enb = np.stack([t.g_enb_db for t in tables])
-        comp = stacked_cost(p, g_d2d, g_enb, constraints, channel.noise_dbw)
+        drops = Drop(
+            layout,
+            np.stack([sample_drop(layout, pairs_per_cell, dmax, rng).pairs for _ in range(m)]),
+        )
+        gains = build_gain_table(drops, channel, rng, n_ch)
+        p_flat, _ = forward(params, flatten_batch(drops), "infer", stats)
+        comp = stacked_cost(
+            p_flat.reshape(m, k, n), gains.g_d2d_db, gains.g_enb_db, constraints,
+            channel.noise_dbw,
+        )
         etas.append(comp.sum_throughput / (k * n))
         power_sums += float(comp.total_power_w.sum())
         pmax_hits += int((comp.total_power_w > constraints.p_max_w).sum())

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainTable, dbw_to_watt
+from .channel import dbw_to_watt
 from .errors import ConfigurationError, ShapeError
-from .topology import Batch
 
 LN2 = np.log(2.0)
 LN10 = np.log(10.0)
@@ -46,14 +45,6 @@ class ConstraintConfig:
     @property
     def q_max_w(self) -> float:
         return dbw_to_watt(self.q_max_dbw)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    sum_throughput: float
-    ct_p: float
-    ct_if: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -176,88 +167,3 @@ def stacked_cost(
         enb_interference_w=enb_if,
         grad_p_dbm=grad,
     )
-
-
-def throughput(gains: GainTable, p_dbm: np.ndarray, noise_dbw: float) -> np.ndarray:
-    """Per-pair throughputs [K] in bits/s/Hz for one drop."""
-    p = np.asarray(p_dbm, dtype=float)
-    comp = stacked_cost(
-        p[None],
-        np.asarray(gains.g_d2d_db)[None],
-        np.asarray(gains.g_enb_db)[None],
-        ConstraintConfig(),
-        noise_dbw,
-    )
-    return comp.throughput_per_pair[0]
-
-
-def power_penalty(p_dbm: np.ndarray, p_max_w: float) -> float:
-    """sum_k log2(1 + relu(total_watts_k - P_max) / P_max)."""
-    if p_max_w <= 0:
-        raise ConfigurationError(f"p_max_w must be positive, got {p_max_w}")
-    pw = 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
-    over = pw.sum(axis=1) - p_max_w
-    return float((np.log1p(np.maximum(over, 0.0) / p_max_w) / LN2).sum())
-
-
-def enb_interference(gains: GainTable, p_dbm: np.ndarray) -> np.ndarray:
-    """Aggregate linear interference at each eNB per channel, [C, N] watts.
-
-    Receiver noise is excluded: the matrix measures only what the
-    transmitters inject.
-    """
-    p = np.asarray(p_dbm, dtype=float)
-    pw = 10.0 ** ((p - 30.0) / 10.0)
-    ge = _linear_gain4(np.asarray(gains.g_enb_db)[None], p.shape[1])[0]
-    return np.einsum("kn,kcn->cn", pw, ge)
-
-
-def interference_penalty(enb_if_w: np.ndarray, q_max_w: float) -> float:
-    """sum_{c,n} log2(1 + relu(if - Q_max) / Q_max), all in watts."""
-    if q_max_w <= 0:
-        raise ConfigurationError(f"q_max_w must be positive, got {q_max_w}")
-    over = np.asarray(enb_if_w, dtype=float) - q_max_w
-    return float((np.log1p(np.maximum(over, 0.0) / q_max_w) / LN2).sum())
-
-
-def drop_cost(
-    gains: GainTable, p_dbm: np.ndarray, cfg: ConstraintConfig, noise_dbw: float
-) -> CostBreakdown:
-    """Full cost breakdown for one drop."""
-    t_k = throughput(gains, p_dbm, noise_dbw)
-    ct_p = power_penalty(p_dbm, cfg.p_max_w)
-    ct_if = interference_penalty(enb_interference(gains, p_dbm), cfg.q_max_w)
-    sum_t = float(t_k.sum())
-    return CostBreakdown(
-        sum_throughput=sum_t,
-        ct_p=ct_p,
-        ct_if=ct_if,
-        total=-sum_t + cfg.c_if * ct_if + cfg.c_p * ct_p,
-    )
-
-
-def batch_cost(
-    batch: Batch,
-    gain_tables,
-    power_matrices,
-    cfg: ConstraintConfig,
-    noise_dbw: float,
-) -> float:
-    """Mean of per-drop cost totals over an aligned batch."""
-    if not (batch.size == len(gain_tables) == len(power_matrices)):
-        raise ShapeError(
-            f"batch of {batch.size} drops does not align with "
-            f"{len(gain_tables)} gain tables and {len(power_matrices)} power matrices"
-        )
-    p = np.stack([np.asarray(m, dtype=float) for m in power_matrices])
-    g_d2d = np.stack([np.asarray(t.g_d2d_db, dtype=float) for t in gain_tables])
-    g_enb = np.stack([np.asarray(t.g_enb_db, dtype=float) for t in gain_tables])
-    comp = stacked_cost(p, g_d2d, g_enb, cfg, noise_dbw)
-    return float(comp.total.mean())
-
-
-def spectral_efficiency(t_k: np.ndarray, k: int, n: int) -> float:
-    """sum_k T_k / (K * N), bits/s/Hz."""
-    if k < 1 or n < 1:
-        raise ConfigurationError("k and n must be >= 1")
-    return float(np.asarray(t_k, dtype=float).sum() / (k * n))

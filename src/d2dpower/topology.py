@@ -56,47 +56,33 @@ class CellLayout:
 
 
 @dataclass(frozen=True)
-class D2DPair:
-    """Transmitter/receiver coordinate quadruple of one device pair."""
-
-    tx_x: float
-    tx_y: float
-    rx_x: float
-    rx_y: float
-    home_cell: int
-
-
-@dataclass(frozen=True)
 class Drop:
-    """One random placement of all device pairs in a layout."""
+    """Random placement of all device pairs in a layout.
+
+    pairs holds one (tx_x, tx_y, rx_x, rx_y) row per pair: [K, 4] for a
+    single drop, or [B, K, 4] for a stack of B drops sharing the layout.
+    sample_drop lays pairs out cell-major, pairs_per_cell per cell.
+    """
 
     layout: CellLayout
-    pairs: tuple[D2DPair, ...]
+    pairs: np.ndarray
+
+    def __post_init__(self):
+        pairs = np.asarray(self.pairs, dtype=float)
+        if pairs.ndim not in (2, 3) or pairs.shape[-1] != 4 or pairs.size == 0:
+            raise ShapeError(
+                f"pair rows must be a non-empty [K, 4] or [B, K, 4] array, "
+                f"got shape {pairs.shape}"
+            )
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def k(self) -> int:
-        return len(self.pairs)
+        return int(self.pairs.shape[-2])
 
     def coords(self) -> np.ndarray:
-        """[K, 4] matrix of (tx_x, tx_y, rx_x, rx_y) rows."""
-        return np.array(
-            [[p.tx_x, p.tx_y, p.rx_x, p.rx_y] for p in self.pairs], dtype=float
-        )
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A set of independent drops sharing one layout and pair count."""
-
-    drops: tuple[Drop, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.drops)
-
-    @property
-    def k(self) -> int:
-        return self.drops[0].k
+        """The (tx_x, tx_y, rx_x, rx_y) pair rows."""
+        return self.pairs
 
 
 def build_hex_layout(cells: int, radius: float) -> CellLayout:
@@ -148,10 +134,6 @@ def points_in_hexagon(points: np.ndarray, center, radius: float) -> np.ndarray:
     )
 
 
-def point_in_hexagon(x: float, y: float, center, radius: float) -> bool:
-    return bool(points_in_hexagon(np.array([[x, y]]), center, radius)[0])
-
-
 def sample_points_in_hexagon(center, radius: float, n: int, rng) -> np.ndarray:
     """Sample n points uniformly inside a hexagon by rejection from its
     bounding box (acceptance ratio ~0.75 per draw)."""
@@ -182,42 +164,33 @@ def sample_drop(layout: CellLayout, pairs_per_cell: int, dmax: float, rng) -> Dr
         raise ConfigurationError(f"pairs_per_cell must be >= 1, got {pairs_per_cell}")
     if dmax < 0:
         raise ConfigurationError(f"dmax must be >= 0, got {dmax}")
-    pairs = []
+    rows = []
     for cell in range(layout.cell_count):
         center = layout.cell_centers[cell]
         tx = sample_points_in_hexagon(center, layout.radius, pairs_per_cell, rng)
         dist = rng.uniform(0.0, dmax, pairs_per_cell)
         bearing = rng.uniform(0.0, 2.0 * math.pi, pairs_per_cell)
         rx = tx + np.column_stack([dist * np.cos(bearing), dist * np.sin(bearing)])
-        for j in range(pairs_per_cell):
-            pairs.append(D2DPair(tx[j, 0], tx[j, 1], rx[j, 0], rx[j, 1], cell))
-    return Drop(layout, tuple(pairs))
+        rows.append(np.concatenate([tx, rx], axis=1))
+    return Drop(layout, np.concatenate(rows, axis=0))
 
 
 def sample_batch(
     layout: CellLayout, pairs_per_cell: int, dmax: float, batch_size: int, rng
-) -> Batch:
-    """batch_size independent drops from one layout."""
+) -> Drop:
+    """batch_size independent drops from one layout, stacked as [B, K, 4]
+    pair rows; drop i consumes the generator exactly as the i-th of
+    batch_size sequential sample_drop calls."""
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    return Batch(
-        tuple(sample_drop(layout, pairs_per_cell, dmax, rng) for _ in range(batch_size))
+    return Drop(
+        layout,
+        np.stack(
+            [sample_drop(layout, pairs_per_cell, dmax, rng).pairs for _ in range(batch_size)]
+        ),
     )
 
 
-def flatten_batch(batch: Batch) -> np.ndarray:
-    """Stack a batch into a [BN*K, 4] coordinate matrix; row i*K + j is
-    pair j of drop i."""
-    if batch.size == 0:
-        raise ShapeError("cannot flatten an empty batch")
-    return np.concatenate([drop.coords() for drop in batch.drops], axis=0)
-
-
-def unflatten_coords(flat: np.ndarray, batch_size: int, k: int) -> np.ndarray:
-    """Inverse reshape of flatten_batch: [BN*K, 4] -> [BN, K, 4]."""
-    arr = np.asarray(flat, dtype=float)
-    if arr.shape != (batch_size * k, 4):
-        raise ShapeError(
-            f"expected shape {(batch_size * k, 4)}, got {arr.shape}"
-        )
-    return arr.reshape(batch_size, k, 4)
+def flatten_batch(drops: Drop) -> np.ndarray:
+    """[B*K, 4] network input rows; row i*K + j is pair j of drop i."""
+    return drops.pairs.reshape(-1, 4)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, build_gain_table
-from .errors import ConfigurationError, NumericDivergenceError, NumericError, ShapeError
+from .channel import ChannelParams, GainTable, build_gain_table
+from .errors import ConfigurationError, NumericDivergenceError, NumericError
 from .network import (
     BatchNormStats,
     Gradients,
@@ -29,7 +29,7 @@ from .network import (
     init_stats,
 )
 from .objective import ConstraintConfig, StackedCost, stacked_cost
-from .topology import Batch, TopologyConfig, build_hex_layout, flatten_batch, sample_batch
+from .topology import Drop, TopologyConfig, build_hex_layout, flatten_batch, sample_batch
 
 
 @dataclass
@@ -143,17 +143,11 @@ def adam_step(state: AdamState, params: NetworkParams, grads: Gradients):
     return NetworkParams(tuple(new_layers), params.config), state
 
 
-def _stack_gains(gain_tables):
-    g_d2d = np.stack([np.asarray(t.g_d2d_db, dtype=float) for t in gain_tables])
-    g_enb = np.stack([np.asarray(t.g_enb_db, dtype=float) for t in gain_tables])
-    return g_d2d, g_enb
-
-
 def _cost_and_grad(
     params: NetworkParams,
     stats: BatchNormStats | None,
-    batch: Batch,
-    gain_tables,
+    drops: Drop,
+    gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
     update_stats: bool = True,
@@ -161,19 +155,17 @@ def _cost_and_grad(
 ):
     """Shared core: train-mode forward, stacked cost, optional backward.
 
-    Returns (cost, grads_or_None, StackedCost).
+    drops is a [B, K, 4] stack and gains its stacked GainTable; stacked_cost
+    raises ShapeError when the two do not match. Returns
+    (cost, grads_or_None, StackedCost).
     """
-    if len(gain_tables) != batch.size:
-        raise ShapeError(
-            f"{len(gain_tables)} gain tables do not align with batch of {batch.size}"
-        )
-    x = flatten_batch(batch)
+    x = flatten_batch(drops)
     p_flat, cache = forward(params, x, "train", stats, update_stats=update_stats)
-    bn, k = batch.size, batch.k
+    bn, k = drops.pairs.shape[:2]
     n = params.config.output_size
-    g_d2d, g_enb = _stack_gains(gain_tables)
     comp = stacked_cost(
-        p_flat.reshape(bn, k, n), g_d2d, g_enb, constraints, noise_dbw, want_grad=want_grad
+        p_flat.reshape(bn, k, n), gains.g_d2d_db, gains.g_enb_db, constraints, noise_dbw,
+        want_grad=want_grad,
     )
     cost = float(comp.total.mean())
     grads = None
@@ -193,8 +185,8 @@ def _cost_and_grad(
 def grad_batch_cost(
     params: NetworkParams,
     stats: BatchNormStats | None,
-    batch: Batch,
-    gain_tables,
+    drops: Drop,
+    gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
     update_stats: bool = True,
@@ -202,21 +194,21 @@ def grad_batch_cost(
     """Mean batch cost and its exact gradient with respect to every
     network parameter (train-mode batch statistics included)."""
     cost, grads, _ = _cost_and_grad(
-        params, stats, batch, gain_tables, constraints, noise_dbw, update_stats
+        params, stats, drops, gains, constraints, noise_dbw, update_stats
     )
     return cost, grads
 
 
 def batch_cost_value(
     params: NetworkParams,
-    batch: Batch,
-    gain_tables,
+    drops: Drop,
+    gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
 ) -> float:
     """Train-mode batch cost without gradients (used by gradient checks)."""
     cost, _, _ = _cost_and_grad(
-        params, None, batch, gain_tables, constraints, noise_dbw,
+        params, None, drops, gains, constraints, noise_dbw,
         update_stats=False, want_grad=False,
     )
     return cost
@@ -224,8 +216,8 @@ def batch_cost_value(
 
 def finite_difference_check(
     params: NetworkParams,
-    batch: Batch,
-    gain_tables,
+    drops: Drop,
+    gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
     h: float = 1e-5,
@@ -237,7 +229,7 @@ def finite_difference_check(
     forward passes per parameter.
     """
     _, grads, _ = _cost_and_grad(
-        params, None, batch, gain_tables, constraints, noise_dbw,
+        params, None, drops, gains, constraints, noise_dbw,
         update_stats=False, want_grad=True,
     )
     arrays = []
@@ -261,9 +253,9 @@ def finite_difference_check(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            c_plus = batch_cost_value(probe, batch, gain_tables, constraints, noise_dbw)
+            c_plus = batch_cost_value(probe, drops, gains, constraints, noise_dbw)
             flat[i] = orig - h
-            c_minus = batch_cost_value(probe, batch, gain_tables, constraints, noise_dbw)
+            c_minus = batch_cost_value(probe, drops, gains, constraints, noise_dbw)
             flat[i] = orig
             numeric = (c_plus - c_minus) / (2.0 * h)
             analytic = g_flat[i]
@@ -295,15 +287,13 @@ def train(cfg: TrainConfig):
     metrics: list[MetricsRecord] = []
     for iteration in range(1, cfg.n_epoch + 1):
         t0 = time.perf_counter()
-        batch = sample_batch(
+        drops = sample_batch(
             layout, cfg.topology.pairs_per_cell, cfg.topology.dmax_m, cfg.batch_size, rng
         )
-        tables = [
-            build_gain_table(drop, cfg.channel, rng, n_channels) for drop in batch.drops
-        ]
+        gains = build_gain_table(drops, cfg.channel, rng, n_channels)
         try:
             cost, grads, comp = _cost_and_grad(
-                params, stats, batch, tables, cfg.constraints, cfg.channel.noise_dbw
+                params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw
             )
         except NumericError as e:
             raise NumericDivergenceError(

@@ -15,7 +15,7 @@ import pytest
 
 from oracle_reference import scalar_drop_cost
 
-from d2dpower.channel import ChannelParams, build_gain_table, dbw_to_watt
+from d2dpower.channel import ChannelParams, GainTable, build_gain_table, dbw_to_watt
 from d2dpower.evaluation import evaluate, oracle_grid_search, power_map
 from d2dpower.network import (
     LayerParams,
@@ -25,10 +25,8 @@ from d2dpower.network import (
     init_stats,
     forward,
 )
-from d2dpower.objective import ConstraintConfig, batch_cost, drop_cost
+from d2dpower.objective import ConstraintConfig, stacked_cost
 from d2dpower.topology import (
-    Batch,
-    D2DPair,
     Drop,
     TopologyConfig,
     build_hex_layout,
@@ -62,10 +60,10 @@ def test_criterion_1_gradient_gate():
     rng = np.random.default_rng(0)
     layout = build_hex_layout(1, 500.0)
     batch = sample_batch(layout, 2, 100.0, 4, rng)
-    tables = [build_gain_table(d, NO_SHADOW, rng) for d in batch.drops]
+    gains = build_gain_table(batch, NO_SHADOW, rng)
     params = init_params(NetworkConfig(width=8, depth=2, output_size=2), rng)
     max_err, n_entries = finite_difference_check(
-        params, batch, tables, ConstraintConfig(), NO_SHADOW.noise_dbw, h=1e-5
+        params, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw, h=1e-5
     )
     elapsed = time.perf_counter() - t0
     _report(
@@ -79,12 +77,12 @@ def _random_instance(rng):
     k = int(rng.integers(1, 5))
     n = int(rng.integers(1, 5))
     layout = build_hex_layout(1, 500.0)
-    pairs = []
+    rows = []
     for _ in range(k):
         tx = rng.uniform(-400, 400, 2)
         rx = tx + rng.uniform(-100, 100, 2)
-        pairs.append(D2DPair(tx[0], tx[1], rx[0], rx[1], 0))
-    drop = Drop(layout, tuple(pairs))
+        rows.append([tx[0], tx[1], rx[0], rx[1]])
+    drop = Drop(layout, rows)
     gains = build_gain_table(drop, ChannelParams(), rng)
     p = rng.uniform(-60.0, 20.0, (k, n))
     return gains, p
@@ -97,7 +95,7 @@ def test_criterion_2_cost_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         gains, p = _random_instance(rng)
-        got = drop_cost(gains, p, cfg, noise_dbw)
+        got = stacked_cost(p[None], gains.g_d2d_db[None], gains.g_enb_db[None], cfg, noise_dbw)
         want = scalar_drop_cost(
             p.tolist(),
             gains.g_d2d_db.tolist(),
@@ -108,7 +106,8 @@ def test_criterion_2_cost_oracle_equivalence():
             cfg.c_if,
             dbw_to_watt(noise_dbw),
         )
-        for a, b in zip((got.sum_throughput, got.ct_p, got.ct_if, got.total), want):
+        have = (got.sum_throughput[0], got.ct_p[0], got.ct_if[0], got.total[0])
+        for a, b in zip(have, want):
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     ok_scalar = worst < 1e-12
 
@@ -116,10 +115,18 @@ def test_criterion_2_cost_oracle_equivalence():
     layout = build_hex_layout(1, 500.0)
     for bn in (1, 2, 8, 50):
         batch = sample_batch(layout, 4, 100.0, bn, rng)
-        tables = [build_gain_table(d, ChannelParams(), rng) for d in batch.drops]
-        ps = [rng.uniform(-60, 20, (4, 3)) for _ in range(bn)]
-        vec = batch_cost(batch, tables, ps, cfg, noise_dbw)
-        ref = np.mean([drop_cost(g, p, cfg, noise_dbw).total for g, p in zip(tables, ps)])
+        gains = build_gain_table(batch, ChannelParams(), rng)
+        ps = np.stack([rng.uniform(-60, 20, (4, 3)) for _ in range(bn)])
+        vec = float(stacked_cost(ps, gains.g_d2d_db, gains.g_enb_db, cfg, noise_dbw).total.mean())
+        ref = np.mean(
+            [
+                stacked_cost(
+                    ps[i][None], gains.g_d2d_db[i][None], gains.g_enb_db[i][None],
+                    cfg, noise_dbw,
+                ).total[0]
+                for i in range(bn)
+            ]
+        )
         worst_batch = max(worst_batch, abs(vec - ref) / max(1.0, abs(ref)))
     ok_batch = worst_batch < 1e-9
     _report(
@@ -140,18 +147,20 @@ def test_criterion_3_tiny_instance_optimality():
     levels = np.linspace(-150.0, 20.0, 35)
     _, grid_cost = oracle_grid_search(gains, cons, NO_SHADOW.noise_dbw, levels, 1)
 
-    batch = Batch((drop, drop))
-    tables = [gains, gains]
+    batch = Drop(layout, np.stack([drop.pairs, drop.pairs]))
+    twice = GainTable(
+        np.stack([gains.g_d2d_db, gains.g_d2d_db]), np.stack([gains.g_enb_db, gains.g_enb_db])
+    )
     params = init_params(NetworkConfig(width=32, depth=2, output_size=1), np.random.default_rng(0))
     stats = init_stats(NetworkConfig(width=32, depth=2, output_size=1))
     # beta2=0.9: the second-moment window must forget the large early
     # gradients quickly or the low-power output stays frozen
     adam = init_adam(params, lr=0.02, beta2=0.9)
     for _ in range(2000):
-        _, grads, _ = _cost_and_grad(params, stats, batch, tables, cons, NO_SHADOW.noise_dbw)
+        _, grads, _ = _cost_and_grad(params, stats, batch, twice, cons, NO_SHADOW.noise_dbw)
         params, adam = adam_step(adam, params, grads)
     final_cost, _, _ = _cost_and_grad(
-        params, stats, batch, tables, cons, NO_SHADOW.noise_dbw,
+        params, stats, batch, twice, cons, NO_SHADOW.noise_dbw,
         update_stats=False, want_grad=False,
     )
     gap = abs(final_cost - grid_cost) / abs(grid_cost)

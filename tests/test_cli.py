@@ -4,6 +4,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from d2dpower.config import parse_config
+from d2dpower.errors import ConfigurationError
 
 BASE_CONFIG = {
     "seed": 3,
@@ -195,6 +199,17 @@ def test_invalid_value_rejected(tmp_path):
     cfg = write_config(tmp_path, topology={"cells": 5})
     result = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "x")
     assert result.returncode == 2
+
+
+def test_nonpositive_enb_l2_db_rejected(tmp_path):
+    # like l2_db: an eNB gain that grows with distance is a config error
+    for bad in (0.0, -40.0):
+        with pytest.raises(ConfigurationError, match="enb_l2_db"):
+            parse_config({"channel": {"enb_l2_db": bad}})
+    cfg = write_config(tmp_path, channel={"enb_l2_db": -40.0})
+    result = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "x")
+    assert result.returncode == 2
+    assert "enb_l2_db" in result.stderr
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -18,10 +18,19 @@ from d2dpower.network import (
     init_params,
     init_stats,
 )
-from d2dpower.objective import ConstraintConfig, drop_cost
+from d2dpower.objective import ConstraintConfig, stacked_cost
 from d2dpower.topology import build_hex_layout, sample_drop
 
 NO_SHADOW = ChannelParams(shadowing_enabled=False)
+
+
+def _total(gains, p, cfg):
+    """Total cost of one drop's allocation, via stacked_cost."""
+    comp = stacked_cost(
+        np.asarray(p, dtype=float)[None], gains.g_d2d_db[None], gains.g_enb_db[None],
+        cfg, NO_SHADOW.noise_dbw,
+    )
+    return comp.total[0]
 
 
 def _constant_net(n_channels=4, width=8, depth=2):
@@ -118,11 +127,11 @@ def test_grid_search_matches_brute_enumeration():
     levels = [-150.0, -65.0, 0.0, 20.0]
     best, cost = oracle_grid_search(gains, cfg, NO_SHADOW.noise_dbw, levels, 2)
     brute = min(
-        drop_cost(gains, np.array(c, dtype=float).reshape(2, 2), cfg, NO_SHADOW.noise_dbw).total
+        _total(gains, np.array(c, dtype=float).reshape(2, 2), cfg)
         for c in itertools.product(levels, repeat=4)
     )
     assert cost == pytest.approx(brute, rel=1e-12)
-    assert cost <= drop_cost(gains, best, cfg, NO_SHADOW.noise_dbw).total + 1e-12
+    assert cost <= _total(gains, best, cfg) + 1e-12
 
 
 def test_grid_search_beats_random_allocations():
@@ -135,7 +144,7 @@ def test_grid_search_beats_random_allocations():
     _, best_cost = oracle_grid_search(gains, cfg, NO_SHADOW.noise_dbw, levels, 1)
     for _ in range(20):
         p = rng.choice(levels, size=(2, 1))
-        assert best_cost <= drop_cost(gains, p, cfg, NO_SHADOW.noise_dbw).total + 1e-12
+        assert best_cost <= _total(gains, p, cfg) + 1e-12
 
 
 def test_grid_search_budget_guard():
@@ -157,7 +166,7 @@ def test_direct_opt_zero_iters_returns_init():
     p, cost = oracle_direct_opt(gains, ConstraintConfig(), NO_SHADOW.noise_dbw, 2, 0, 1.0)
     assert np.array_equal(p, np.full((2, 2), -65.0))
     assert cost == pytest.approx(
-        drop_cost(gains, p, ConstraintConfig(), NO_SHADOW.noise_dbw).total, rel=1e-12
+        _total(gains, p, ConstraintConfig()), rel=1e-12
     )
 
 

@@ -7,19 +7,24 @@ from hypothesis import strategies as st
 
 from d2dpower.errors import ConfigurationError, ShapeError
 from d2dpower.topology import (
-    Batch,
+    Drop,
     TopologyConfig,
     build_hex_layout,
     flatten_batch,
-    point_in_hexagon,
     points_in_hexagon,
     sample_batch,
     sample_drop,
     sample_points_in_hexagon,
-    unflatten_coords,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _inside(x, y, center, radius):
+    """points_in_hexagon on a one-row array."""
+    mask = points_in_hexagon(np.array([[x, y]]), center, radius)
+    assert mask.shape == (1,)
+    return bool(mask[0])
 
 
 def test_single_cell_at_origin():
@@ -62,13 +67,13 @@ def test_invalid_radius():
 
 def test_hexagon_contains_center_and_vertices():
     r = 500.0
-    assert point_in_hexagon(0.0, 0.0, (0.0, 0.0), r)
+    assert _inside(0.0, 0.0, (0.0, 0.0), r)
     for deg in range(0, 360, 60):
         vx = r * math.cos(math.radians(deg))
         vy = r * math.sin(math.radians(deg))
         # just inside a vertex is inside, just beyond is outside
-        assert point_in_hexagon(0.999 * vx, 0.999 * vy, (0.0, 0.0), r)
-        assert not point_in_hexagon(1.001 * vx, 1.001 * vy, (0.0, 0.0), r)
+        assert _inside(0.999 * vx, 0.999 * vy, (0.0, 0.0), r)
+        assert not _inside(1.001 * vx, 1.001 * vy, (0.0, 0.0), r)
 
 
 @given(
@@ -80,7 +85,7 @@ def test_hexagon_distance_bounds(x, y):
     # inside the inscribed circle -> inside; outside the circumcircle -> outside
     r = 500.0
     d = math.hypot(x, y)
-    inside = point_in_hexagon(x, y, (0.0, 0.0), r)
+    inside = _inside(x, y, (0.0, 0.0), r)
     if d <= SQRT3 * r / 2.0:
         assert inside
     if d > r:
@@ -99,9 +104,11 @@ def test_drop_transmitters_inside_home_cell():
     layout = build_hex_layout(7, 500.0)
     drop = sample_drop(layout, 8, 100.0, rng)
     assert drop.k == 56
-    for pair in drop.pairs:
-        center = layout.cell_centers[pair.home_cell]
-        assert point_in_hexagon(pair.tx_x, pair.tx_y, center, 500.0)
+    assert drop.pairs.shape == (56, 4)
+    # pairs are laid out cell-major, 8 per cell
+    for row, home_cell in zip(drop.pairs, np.repeat(np.arange(7), 8)):
+        center = layout.cell_centers[home_cell]
+        assert _inside(row[0], row[1], center, 500.0)
 
 
 def test_pair_distance_within_dmax():
@@ -136,15 +143,14 @@ def test_fixed_seed_reproduces_drops():
     layout = build_hex_layout(3, 500.0)
     a = sample_batch(layout, 4, 100.0, 5, np.random.default_rng(7))
     b = sample_batch(layout, 4, 100.0, 5, np.random.default_rng(7))
-    for da, db in zip(a.drops, b.drops):
-        assert np.array_equal(da.coords(), db.coords())
+    assert np.array_equal(a.coords(), b.coords())
 
 
 def test_batch_and_flatten_shapes():
     rng = np.random.default_rng(5)
     layout = build_hex_layout(3, 500.0)
     batch = sample_batch(layout, 8, 100.0, 50, rng)
-    assert batch.size == 50
+    assert batch.pairs.shape == (50, 24, 4)
     assert batch.k == 24
     flat = flatten_batch(batch)
     assert flat.shape == (1200, 4)
@@ -156,8 +162,8 @@ def test_flatten_row_ordering():
     batch = sample_batch(layout, 3, 100.0, 4, rng)
     flat = flatten_batch(batch)
     k = batch.k
-    for i, drop in enumerate(batch.drops):
-        assert np.array_equal(flat[i * k : (i + 1) * k], drop.coords())
+    for i, rows in enumerate(batch.pairs):
+        assert np.array_equal(flat[i * k : (i + 1) * k], rows)
 
 
 def test_singleton_batch_flatten():
@@ -166,26 +172,42 @@ def test_singleton_batch_flatten():
     batch = sample_batch(layout, 1, 100.0, 1, rng)
     flat = flatten_batch(batch)
     assert flat.shape == (1, 4)
-    assert np.array_equal(flat[0], batch.drops[0].coords()[0])
+    assert np.array_equal(flat[0], batch.pairs[0, 0])
 
 
 @given(bn=st.integers(1, 6), k=st.integers(1, 5))
 @settings(deadline=None, max_examples=25)
 def test_flatten_unflatten_roundtrip(bn, k):
+    # flatten_batch rows reshape back to the [B, K, 4] stack
     rng = np.random.default_rng(bn * 31 + k)
     flat = rng.uniform(-1000, 1000, (bn * k, 4))
-    cube = unflatten_coords(flat, bn, k)
-    assert cube.shape == (bn, k, 4)
-    assert np.array_equal(cube.reshape(bn * k, 4), flat)
+    drops = Drop(build_hex_layout(1, 500.0), flat.reshape(bn, k, 4))
+    assert drops.pairs.shape == (bn, k, 4)
+    assert drops.k == k
+    assert np.array_equal(flatten_batch(drops), flat)
 
 
 def test_unflatten_shape_mismatch():
-    with pytest.raises(ShapeError):
-        unflatten_coords(np.zeros((5, 4)), 2, 3)
+    # pair rows must be [K, 4] or [B, K, 4]
+    layout = build_hex_layout(1, 500.0)
+    for shape in ((5, 3), (2, 3, 5), (4,), (2, 2, 3, 4)):
+        with pytest.raises(ShapeError):
+            Drop(layout, np.zeros(shape))
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ShapeError):
-        flatten_batch(Batch(()))
+        flatten_batch(Drop(build_hex_layout(1, 500.0), np.zeros((0, 3, 4))))
     with pytest.raises(ConfigurationError):
         sample_batch(build_hex_layout(1, 500.0), 1, 100.0, 0, np.random.default_rng(0))
+
+
+def test_sample_batch_equals_sequential_sample_drop():
+    # drop i of a batch consumes the generator as the i-th sample_drop call
+    for cells, bn in ((1, 16), (3, 5), (7, 3)):
+        layout = build_hex_layout(cells, 500.0)
+        batch = sample_batch(layout, 4, 100.0, bn, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        singles = [sample_drop(layout, 4, 100.0, rng) for _ in range(bn)]
+        assert batch.pairs.shape == (bn, 4 * cells, 4)
+        assert np.array_equal(batch.pairs, np.stack([d.pairs for d in singles]))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from d2dpower.channel import ChannelParams, build_gain_table
+from d2dpower.channel import ChannelParams, GainTable, build_gain_table
 from d2dpower.errors import ConfigurationError, NumericDivergenceError, ShapeError
 from d2dpower.network import (
     Gradients,
@@ -13,7 +13,7 @@ from d2dpower.network import (
     init_stats,
 )
 from d2dpower.objective import ConstraintConfig
-from d2dpower.topology import Batch, TopologyConfig, build_hex_layout, sample_batch
+from d2dpower.topology import Drop, TopologyConfig, build_hex_layout, sample_batch
 from d2dpower.training import (
     TrainConfig,
     adam_step,
@@ -30,10 +30,10 @@ def _small_setup(seed=0, width=8, depth=2, n=2, pairs=2, bn=4, channel=NO_SHADOW
     rng = np.random.default_rng(seed)
     layout = build_hex_layout(1, 500.0)
     batch = sample_batch(layout, pairs, 100.0, bn, rng)
-    tables = [build_gain_table(d, channel, rng) for d in batch.drops]
+    gains = build_gain_table(batch, channel, rng)
     netcfg = NetworkConfig(width=width, depth=depth, output_size=n)
     params = init_params(netcfg, rng)
-    return params, batch, tables
+    return params, batch, gains
 
 
 def _tiny_train_config(**overrides):
@@ -104,31 +104,31 @@ class TestAdam:
 
 
 def test_gradient_matches_finite_differences():
-    params, batch, tables = _small_setup()
+    params, batch, gains = _small_setup()
     err, n_entries = finite_difference_check(
-        params, batch, tables, ConstraintConfig(), NO_SHADOW.noise_dbw
+        params, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw
     )
     assert n_entries == 148
     assert err < 1e-4
 
 
 def test_gradient_matches_with_active_penalties():
-    params, batch, tables = _small_setup(seed=3)
+    params, batch, gains = _small_setup(seed=3)
     # shift outputs high so both penalty terms bite
     layers = list(params.layers)
     last = layers[-1]
     layers[-1] = LayerParams(last.w, last.s, last.z + 3.0)
     params = NetworkParams(tuple(layers), params.config)
     cfg = ConstraintConfig(p_max_w=1e-3, q_max_dbw=-160.0, c_p=7.0, c_if=3.0)
-    err, _ = finite_difference_check(params, batch, tables, cfg, NO_SHADOW.noise_dbw)
+    err, _ = finite_difference_check(params, batch, gains, cfg, NO_SHADOW.noise_dbw)
     assert err < 1e-4
 
 
 def test_constant_objective_gives_zero_gradient():
     # huge noise floor drives every SINR (and its gradient) to zero
-    params, batch, tables = _small_setup(seed=4)
+    params, batch, gains = _small_setup(seed=4)
     cfg = ConstraintConfig(c_p=0.0, c_if=0.0)
-    cost, grads = grad_batch_cost(params, None, batch, tables, cfg, noise_dbw=400.0)
+    cost, grads = grad_batch_cost(params, None, batch, gains, cfg, noise_dbw=400.0)
     assert cost == pytest.approx(0.0, abs=1e-12)
     for layer in grads.layers:
         assert np.allclose(layer.w, 0.0, atol=1e-18)
@@ -137,13 +137,15 @@ def test_constant_objective_gives_zero_gradient():
 
 
 def test_duplicated_batch_leaves_cost_and_grads():
-    params, batch, tables = _small_setup(seed=5)
+    params, batch, gains = _small_setup(seed=5)
     cfg = ConstraintConfig()
-    cost1, grads1 = grad_batch_cost(params, None, batch, tables, cfg, NO_SHADOW.noise_dbw)
-    doubled = Batch(batch.drops + batch.drops)
-    cost2, grads2 = grad_batch_cost(
-        params, None, doubled, tables + tables, cfg, NO_SHADOW.noise_dbw
+    cost1, grads1 = grad_batch_cost(params, None, batch, gains, cfg, NO_SHADOW.noise_dbw)
+    doubled = Drop(batch.layout, np.concatenate([batch.pairs, batch.pairs]))
+    gains2 = GainTable(
+        np.concatenate([gains.g_d2d_db, gains.g_d2d_db]),
+        np.concatenate([gains.g_enb_db, gains.g_enb_db]),
     )
+    cost2, grads2 = grad_batch_cost(params, None, doubled, gains2, cfg, NO_SHADOW.noise_dbw)
     assert cost2 == pytest.approx(cost1, rel=1e-12)
     for a, b in zip(grads1.layers, grads2.layers):
         assert np.allclose(a.w, b.w, rtol=1e-9, atol=1e-15)
@@ -152,9 +154,10 @@ def test_duplicated_batch_leaves_cost_and_grads():
 
 
 def test_grad_batch_cost_misaligned_tables():
-    params, batch, tables = _small_setup(seed=6)
+    params, batch, gains = _small_setup(seed=6)
     with pytest.raises(ShapeError):
-        grad_batch_cost(params, None, batch, tables[:-1], ConstraintConfig(), -130.0)
+        short = GainTable(gains.g_d2d_db[:-1], gains.g_enb_db[:-1])
+        grad_batch_cost(params, None, batch, short, ConstraintConfig(), -130.0)
 
 
 def test_train_single_iteration():
