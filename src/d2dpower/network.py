@@ -13,7 +13,7 @@ independent of the rest so a single device can run its own forward pass.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,15 +82,36 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    layers: tuple[LayerParams, ...]
+    """Every weight, batch-norm scale and shift in one float64 vector.
+
+    flat holds, layer by layer in config.layer_sizes() order, the
+    row-major W, then s, then z; it defaults to zeros. layers is a tuple
+    of LayerParams views into flat, so a write through either is seen by
+    both. Gradients use the same type and layout.
+    """
+
     config: NetworkConfig
+    flat: np.ndarray | None = None
+    layers: tuple[LayerParams, ...] = field(init=False, repr=False)
 
-
-@dataclass(frozen=True)
-class Gradients:
-    """Cost derivatives, mirroring NetworkParams layer by layer."""
-
-    layers: tuple[LayerParams, ...]
+    def __post_init__(self):
+        sizes = self.config.layer_sizes()
+        n = sum((fan_in + 2) * fan_out for fan_in, fan_out in sizes)
+        if self.flat is None:
+            flat = np.zeros(n)
+        else:
+            flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+            if flat.shape != (n,):
+                raise ShapeError(f"expected a flat parameter vector of {n}, got {flat.shape}")
+        layers = []
+        off = 0
+        for fan_in, fan_out in sizes:
+            n_w = fan_in * fan_out
+            w, s, z = np.split(flat[off : off + n_w + 2 * fan_out], [n_w, n_w + fan_out])
+            layers.append(LayerParams(w.reshape(fan_in, fan_out), s, z))
+            off += n_w + 2 * fan_out
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "layers", tuple(layers))
 
 
 @dataclass
@@ -116,16 +137,11 @@ def xavier_init(fan_in: int, fan_out: int, rng) -> np.ndarray:
 
 
 def init_params(config: NetworkConfig, rng) -> NetworkParams:
-    layers = []
-    for fan_in, fan_out in config.layer_sizes():
-        layers.append(
-            LayerParams(
-                w=xavier_init(fan_in, fan_out, rng),
-                s=np.ones(fan_out),
-                z=np.zeros(fan_out),
-            )
-        )
-    return NetworkParams(tuple(layers), config)
+    params = NetworkParams(config)
+    for layer in params.layers:
+        layer.w[...] = xavier_init(*layer.w.shape, rng)
+        layer.s[...] = 1.0
+    return params
 
 
 def init_stats(config: NetworkConfig, momentum: float = 0.99) -> BatchNormStats:
@@ -220,9 +236,10 @@ def forward(
     return out, cache
 
 
-def backward(params: NetworkParams, cache, d_out: np.ndarray) -> Gradients:
+def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
     """Reverse-mode derivative of a scalar cost through a train-mode
-    forward pass, given d(cost)/d(p_dbm).
+    forward pass, given d(cost)/d(p_dbm); the gradient has the layout of
+    params.
 
     Backpropagates through the output rescale, sigmoids, the learned
     scale/shift, the batch statistics themselves (mean and variance are
@@ -231,27 +248,26 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> Gradients:
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
     d_out = np.asarray(d_out, dtype=float)
-    grads: list[LayerParams] = []
+    grads = NetworkParams(cfg)
     d_y = None
     for idx in reversed(range(len(params.layers))):
         layer = params.layers[idx]
+        g = grads.layers[idx]
         c = cache[idx]
         if idx == len(params.layers) - 1:
             d_y = d_out * scale * c.clip_mask
         d_h = d_y * c.y * (1.0 - c.y)
-        d_s = (d_h * c.a_hat).sum(axis=0)
-        d_z = d_h.sum(axis=0)
+        g.s[...] = (d_h * c.a_hat).sum(axis=0)
+        g.z[...] = d_h.sum(axis=0)
         d_ahat = d_h * layer.s
         d_a = c.inv_std * (
             d_ahat
             - d_ahat.mean(axis=0)
             - c.a_hat * (d_ahat * c.a_hat).mean(axis=0)
         )
-        d_w = c.x_in.T @ d_a
+        np.matmul(c.x_in.T, d_a, out=g.w)
         d_y = d_a @ layer.w.T
-        grads.append(LayerParams(d_w, d_s, d_z))
-    grads.reverse()
-    return Gradients(tuple(grads))
+    return grads
 
 
 def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
@@ -332,25 +348,17 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
                     f"checkpoint layout (width, depth, in, out)={stored} does not "
                     f"match expected {expected}"
                 )
-        layers = []
+        params = NetworkParams(config)
         means = []
         variances = []
-        for idx, (fan_in, fan_out) in enumerate(config.layer_sizes()):
-            w = np.frombuffer(
-                _read_exact(f, 8 * fan_in * fan_out, f"layer {idx} weights"), "<f8"
-            ).reshape(fan_in, fan_out)
-            vecs = []
-            for what in ("scale", "shift", "running mean", "running variance"):
-                vecs.append(
-                    np.frombuffer(
-                        _read_exact(f, 8 * fan_out, f"layer {idx} {what}"), "<f8"
-                    )
-                )
-            layers.append(LayerParams(w.copy(), vecs[0].copy(), vecs[1].copy()))
-            means.append(vecs[2].copy())
-            variances.append(vecs[3].copy())
+        for idx, layer in enumerate(params.layers):
+            for what, arr in (("weights", layer.w), ("scale", layer.s), ("shift", layer.z)):
+                data = _read_exact(f, 8 * arr.size, f"layer {idx} {what}")
+                arr[...] = np.frombuffer(data, "<f8").reshape(arr.shape)
+            for what, out in (("running mean", means), ("running variance", variances)):
+                data = _read_exact(f, 8 * layer.s.size, f"layer {idx} {what}")
+                out.append(np.frombuffer(data, "<f8").copy())
         if f.read(1) != b"":
             raise CheckpointFormatError("unexpected trailing data after parameters")
-    params = NetworkParams(tuple(layers), config)
     stats = BatchNormStats(means, variances)
     return params, stats

@@ -11,7 +11,7 @@ configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .channel import ChannelParams, GainTable, build_gain_table
 from .errors import ConfigurationError, NumericDivergenceError, NumericError
 from .network import (
     BatchNormStats,
-    Gradients,
-    LayerParams,
     NetworkConfig,
     NetworkParams,
     backward,
@@ -34,15 +32,16 @@ from .topology import Drop, TopologyConfig, build_hex_layout, flatten_batch, sam
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus step counter."""
+    """First/second moment vectors, laid out like NetworkParams.flat, plus
+    step counter."""
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -92,58 +91,46 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    zeros = [
-        LayerParams(np.zeros_like(l.w), np.zeros_like(l.s), np.zeros_like(l.z))
-        for l in params.layers
-    ]
     return AdamState(
         lr=lr,
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
         beta1=beta1,
         beta2=beta2,
         epsilon=epsilon,
-        t=0,
-        m=zeros,
-        v=[LayerParams(np.zeros_like(l.w), np.zeros_like(l.s), np.zeros_like(l.z)) for l in params.layers],
     )
 
 
-def adam_step(state: AdamState, params: NetworkParams, grads: Gradients):
+def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams):
     """One bias-corrected Adam update; returns (new_params, state).
 
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t).
+    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t). The moments are updated in
+    place; params is left untouched.
     """
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    new_layers = []
-    new_m = []
-    new_v = []
-    for layer, g, m, v in zip(params.layers, grads.layers, state.m, state.v):
-        updated = []
-        m_parts = []
-        v_parts = []
-        for p_arr, g_arr, m_arr, v_arr in (
-            (layer.w, g.w, m.w, v.w),
-            (layer.s, g.s, m.s, v.s),
-            (layer.z, g.z, m.z, v.z),
-        ):
-            m_new = state.beta1 * m_arr + (1.0 - state.beta1) * g_arr
-            v_new = state.beta2 * v_arr + (1.0 - state.beta2) * g_arr * g_arr
-            step = state.lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.epsilon)
-            updated.append(p_arr - step)
-            m_parts.append(m_new)
-            v_parts.append(v_new)
-        new_layers.append(LayerParams(*updated))
-        new_m.append(LayerParams(*m_parts))
-        new_v.append(LayerParams(*v_parts))
-    state.m = new_m
-    state.v = new_v
-    return NetworkParams(tuple(new_layers), params.config), state
+    g = grads.flat
+    tmp = (1.0 - state.beta1) * g
+    state.m *= state.beta1
+    state.m += tmp
+    np.multiply(1.0 - state.beta2, g, out=tmp)
+    tmp *= g
+    state.v *= state.beta2
+    state.v += tmp
+    np.divide(state.m, c1, out=tmp)
+    tmp *= state.lr
+    denom = np.divide(state.v, c2)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    tmp /= denom
+    # denom is dead: reuse its memory for the new parameters
+    return NetworkParams(params.config, np.subtract(params.flat, tmp, out=denom)), state
 
 
-def _cost_and_grad(
+def cost_and_grad(
     params: NetworkParams,
     stats: BatchNormStats | None,
     drops: Drop,
@@ -153,11 +140,13 @@ def _cost_and_grad(
     update_stats: bool = True,
     want_grad: bool = True,
 ):
-    """Shared core: train-mode forward, stacked cost, optional backward.
+    """Mean train-mode batch cost and, if want_grad, its exact gradient
+    with respect to every network parameter (batch statistics included).
 
     drops is a [B, K, 4] stack and gains its stacked GainTable; stacked_cost
     raises ShapeError when the two do not match. Returns
-    (cost, grads_or_None, StackedCost).
+    (cost, grads_or_None, StackedCost); a non-finite gradient raises
+    NumericError naming the first layer that holds one.
     """
     x = flatten_batch(drops)
     p_flat, cache = forward(params, x, "train", stats, update_stats=update_stats)
@@ -172,46 +161,13 @@ def _cost_and_grad(
     if want_grad:
         d_p = (comp.grad_p_dbm / bn).reshape(bn * k, n)
         grads = backward(params, cache, d_p)
-        for idx, layer in enumerate(grads.layers):
-            if not (
-                np.isfinite(layer.w).all()
-                and np.isfinite(layer.s).all()
-                and np.isfinite(layer.z).all()
-            ):
-                raise NumericError(f"non-finite gradient in layer {idx}", layer=idx)
+        if not np.isfinite(grads.flat).all():
+            idx = next(
+                i for i, layer in enumerate(grads.layers)
+                if not all(np.isfinite(a).all() for a in (layer.w, layer.s, layer.z))
+            )
+            raise NumericError(f"non-finite gradient in layer {idx}", layer=idx)
     return cost, grads, comp
-
-
-def grad_batch_cost(
-    params: NetworkParams,
-    stats: BatchNormStats | None,
-    drops: Drop,
-    gains: GainTable,
-    constraints: ConstraintConfig,
-    noise_dbw: float,
-    update_stats: bool = True,
-):
-    """Mean batch cost and its exact gradient with respect to every
-    network parameter (train-mode batch statistics included)."""
-    cost, grads, _ = _cost_and_grad(
-        params, stats, drops, gains, constraints, noise_dbw, update_stats
-    )
-    return cost, grads
-
-
-def batch_cost_value(
-    params: NetworkParams,
-    drops: Drop,
-    gains: GainTable,
-    constraints: ConstraintConfig,
-    noise_dbw: float,
-) -> float:
-    """Train-mode batch cost without gradients (used by gradient checks)."""
-    cost, _, _ = _cost_and_grad(
-        params, None, drops, gains, constraints, noise_dbw,
-        update_stats=False, want_grad=False,
-    )
-    return cost
 
 
 def finite_difference_check(
@@ -228,42 +184,32 @@ def finite_difference_check(
     (max_error, n_entries). Intended for small networks; the cost is two
     forward passes per parameter.
     """
-    _, grads, _ = _cost_and_grad(
-        params, None, drops, gains, constraints, noise_dbw,
-        update_stats=False, want_grad=True,
+    _, grads, _ = cost_and_grad(
+        params, None, drops, gains, constraints, noise_dbw, update_stats=False
     )
-    arrays = []
-    grad_arrays = []
-    for layer, g in zip(params.layers, grads.layers):
-        for p_arr, g_arr in ((layer.w, g.w), (layer.s, g.s), (layer.z, g.z)):
-            arrays.append(np.array(p_arr, dtype=float))
-            grad_arrays.append(np.asarray(g_arr, dtype=float))
-    probe = NetworkParams(
-        tuple(
-            LayerParams(arrays[3 * i], arrays[3 * i + 1], arrays[3 * i + 2])
-            for i in range(len(params.layers))
-        ),
-        params.config,
-    )
+    probe = NetworkParams(params.config, params.flat.copy())
+    flat = probe.flat
+
+    def cost():
+        return cost_and_grad(
+            probe, None, drops, gains, constraints, noise_dbw,
+            update_stats=False, want_grad=False,
+        )[0]
+
     max_err = 0.0
-    n_entries = 0
-    for arr, g_arr in zip(arrays, grad_arrays):
-        flat = arr.reshape(-1)
-        g_flat = g_arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            c_plus = batch_cost_value(probe, drops, gains, constraints, noise_dbw)
-            flat[i] = orig - h
-            c_minus = batch_cost_value(probe, drops, gains, constraints, noise_dbw)
-            flat[i] = orig
-            numeric = (c_plus - c_minus) / (2.0 * h)
-            analytic = g_flat[i]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
-            if err > max_err:
-                max_err = err
-            n_entries += 1
-    return max_err, n_entries
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        c_plus = cost()
+        flat[i] = orig - h
+        c_minus = cost()
+        flat[i] = orig
+        numeric = (c_plus - c_minus) / (2.0 * h)
+        analytic = grads.flat[i]
+        err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
+        if err > max_err:
+            max_err = err
+    return max_err, flat.size
 
 
 def train(cfg: TrainConfig):
@@ -292,7 +238,7 @@ def train(cfg: TrainConfig):
         )
         gains = build_gain_table(drops, cfg.channel, rng, n_channels)
         try:
-            cost, grads, comp = _cost_and_grad(
+            cost, grads, comp = cost_and_grad(
                 params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw
             )
         except NumericError as e:

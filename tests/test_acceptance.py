@@ -18,7 +18,6 @@ from oracle_reference import scalar_drop_cost
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table, dbw_to_watt
 from d2dpower.evaluation import evaluate, oracle_grid_search, power_map
 from d2dpower.network import (
-    LayerParams,
     NetworkConfig,
     NetworkParams,
     init_params,
@@ -35,8 +34,8 @@ from d2dpower.topology import (
 )
 from d2dpower.training import (
     TrainConfig,
-    _cost_and_grad,
     adam_step,
+    cost_and_grad,
     finite_difference_check,
     init_adam,
     train,
@@ -157,9 +156,9 @@ def test_criterion_3_tiny_instance_optimality():
     # gradients quickly or the low-power output stays frozen
     adam = init_adam(params, lr=0.02, beta2=0.9)
     for _ in range(2000):
-        _, grads, _ = _cost_and_grad(params, stats, batch, twice, cons, NO_SHADOW.noise_dbw)
+        _, grads, _ = cost_and_grad(params, stats, batch, twice, cons, NO_SHADOW.noise_dbw)
         params, adam = adam_step(adam, params, grads)
-    final_cost, _, _ = _cost_and_grad(
+    final_cost, _, _ = cost_and_grad(
         params, stats, batch, twice, cons, NO_SHADOW.noise_dbw,
         update_stats=False, want_grad=False,
     )
@@ -283,10 +282,12 @@ def test_criterion_8_output_range_fuzz():
     out_infer, _ = forward(params, coords, "infer", stats)
     out_train, _ = forward(params, coords, "train", None)
     # saturation-forcing variant: huge scale/shift slams every sigmoid
-    layers = tuple(
-        LayerParams(l.w * 100.0, l.s * 100.0, l.z + 50.0) for l in params.layers
-    )
-    out_sat, _ = forward(NetworkParams(layers, cfg), coords, "infer", stats)
+    saturated = NetworkParams(cfg, params.flat.copy())
+    for layer in saturated.layers:
+        layer.w[...] *= 100.0
+        layer.s[...] *= 100.0
+        layer.z[...] += 50.0
+    out_sat, _ = forward(saturated, coords, "infer", stats)
     violations = 0
     for out in (out_infer, out_train, out_sat):
         violations += int((out <= -150.0).sum() + (out >= 20.0).sum())

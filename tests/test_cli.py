@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from d2dpower.config import parse_config
+from d2dpower.config import load_config, parse_config
 from d2dpower.errors import ConfigurationError
 
 BASE_CONFIG = {
@@ -22,6 +23,8 @@ BASE_CONFIG = {
         "oracle_direct_iters": 50,
     },
 }
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 METRICS_HEADER = "iteration,cost_total,mean_eta,ct_p,ct_if,pmax_violation_rate,q_exceed_rate"
 
@@ -165,6 +168,20 @@ def test_oracle_command(tmp_path):
     assert lines[0] == "method,cost_total"
     methods = [l.split(",")[0] for l in lines[1:]]
     assert methods == ["grid_search", "direct_opt", "checkpoint"]
+
+
+def test_oracle_on_shipped_gradcheck_config(tmp_path):
+    # K=2 pairs on N=2 channels: 35^4 grid candidates, inside the budget
+    out = tmp_path / "oracle"
+    result = run_cli("oracle", "--config", CONFIGS / "gradcheck.json", "--out-dir", out)
+    assert result.returncode == 0, result.stderr
+    lines = (out / "oracle_comparison.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["grid_search", "direct_opt"]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    load_config(path)
 
 
 def test_oracle_search_space_guard_exit_code(tmp_path):

@@ -12,7 +12,6 @@ from d2dpower.evaluation import (
     power_map,
 )
 from d2dpower.network import (
-    LayerParams,
     NetworkConfig,
     NetworkParams,
     init_params,
@@ -36,11 +35,10 @@ def _total(gains, p, cfg):
 def _constant_net(n_channels=4, width=8, depth=2):
     # all-zero weights emit the range midpoint (-65 dBm) everywhere
     cfg = NetworkConfig(width=width, depth=depth, output_size=n_channels)
-    layers = tuple(
-        LayerParams(np.zeros((fi, fo)), np.ones(fo), np.zeros(fo))
-        for fi, fo in cfg.layer_sizes()
-    )
-    return NetworkParams(layers, cfg), init_stats(cfg)
+    params = NetworkParams(cfg)
+    for layer in params.layers:
+        layer.s[...] = 1.0
+    return params, init_stats(cfg)
 
 
 def test_evaluate_midpoint_network_never_violates():

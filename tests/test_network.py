@@ -14,7 +14,6 @@ from d2dpower.errors import (
 )
 from d2dpower.network import (
     BatchNormStats,
-    LayerParams,
     NetworkConfig,
     NetworkParams,
     forward,
@@ -27,11 +26,34 @@ from d2dpower.network import (
 
 
 def _zero_params(config):
-    layers = tuple(
-        LayerParams(np.zeros((fi, fo)), np.ones(fo), np.zeros(fo))
-        for fi, fo in config.layer_sizes()
-    )
-    return NetworkParams(layers, config)
+    params = NetworkParams(config)
+    for layer in params.layers:
+        layer.s[...] = 1.0
+    return params
+
+
+def test_init_params_equals_sequential_xavier_draws():
+    cfg = NetworkConfig(width=16, depth=3, output_size=4)
+    params = init_params(cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    for layer, (fi, fo) in zip(params.layers, cfg.layer_sizes()):
+        assert np.array_equal(layer.w, xavier_init(fi, fo, rng))
+        assert np.array_equal(layer.s, np.ones(fo))
+        assert np.array_equal(layer.z, np.zeros(fo))
+    assert params.flat.size == sum((fi + 2) * fo for fi, fo in cfg.layer_sizes())
+
+
+def test_layer_views_share_the_flat_vector():
+    cfg = NetworkConfig(width=4, depth=2, output_size=2)
+    params = NetworkParams(cfg)
+    params.layers[1].w[2, 3] = 7.0
+    params.layers[2].z[1] = -5.0
+    # layer 0 holds 4*4 + 2*4 entries; layer 1's W starts right after
+    assert params.flat[24 + 2 * 4 + 3] == 7.0
+    assert params.flat[-1] == -5.0
+    assert np.count_nonzero(params.flat) == 2
+    with pytest.raises(ShapeError):
+        NetworkParams(cfg, np.zeros(params.flat.size + 1))
 
 
 def test_xavier_range_wide_layer():
@@ -95,11 +117,10 @@ def test_saturated_network_stays_inside_range():
     # huge shifts force the final sigmoid to round to 0/1; the clip must
     # keep the emitted powers strictly inside the interval
     cfg = NetworkConfig(width=8, depth=1, output_size=2)
-    layers = []
-    for i, (fi, fo) in enumerate(cfg.layer_sizes()):
-        shift = np.full(fo, 80.0 if i % 2 == 0 else -80.0)
-        layers.append(LayerParams(np.zeros((fi, fo)), np.ones(fo), shift))
-    params = NetworkParams(tuple(layers), cfg)
+    params = NetworkParams(cfg)
+    for i, layer in enumerate(params.layers):
+        layer.s[...] = 1.0
+        layer.z[...] = 80.0 if i % 2 == 0 else -80.0
     x = np.random.default_rng(5).uniform(-1000, 1000, (8, 4))
     out, _ = forward(params, x, "train", None)
     assert (out > -150.0).all() and (out < 20.0).all()
@@ -172,11 +193,8 @@ def test_non_finite_input_rejected():
 def test_non_finite_weights_identify_layer():
     cfg = NetworkConfig(width=4, depth=2, output_size=1)
     params = init_params(cfg, np.random.default_rng(12))
-    layers = list(params.layers)
-    bad = layers[1].w.copy()
-    bad[0, 0] = np.nan
-    layers[1] = LayerParams(bad, layers[1].s, layers[1].z)
-    broken = NetworkParams(tuple(layers), cfg)
+    broken = NetworkParams(cfg, params.flat.copy())
+    broken.layers[1].w[0, 0] = np.nan
     with pytest.raises(NumericError) as err:
         forward(broken, np.random.default_rng(13).uniform(-1, 1, (4, 4)), "train", None)
     assert err.value.layer == 1
@@ -187,11 +205,11 @@ def test_non_finite_weights_identify_layer():
 def test_output_range_survives_parameter_scaling(scale):
     cfg = NetworkConfig(width=8, depth=1, output_size=2)
     rng = np.random.default_rng(14)
-    base = init_params(cfg, rng)
-    layers = tuple(
-        LayerParams(l.w * scale, l.s * scale, l.z + scale) for l in base.layers
-    )
-    params = NetworkParams(layers, cfg)
+    params = init_params(cfg, rng)
+    for layer in params.layers:
+        layer.w[...] *= scale
+        layer.s[...] *= scale
+        layer.z[...] += scale
     x = rng.uniform(-1000, 1000, (16, 4))
     out, _ = forward(params, x, "train", None)
     assert (out > -150.0).all() and (out < 20.0).all()

@@ -1,12 +1,13 @@
 
+import math
+
 import numpy as np
 import pytest
 
+from d2dpower import training
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table
-from d2dpower.errors import ConfigurationError, NumericDivergenceError, ShapeError
+from d2dpower.errors import ConfigurationError, NumericDivergenceError, NumericError, ShapeError
 from d2dpower.network import (
-    Gradients,
-    LayerParams,
     NetworkConfig,
     NetworkParams,
     init_params,
@@ -17,8 +18,8 @@ from d2dpower.topology import Drop, TopologyConfig, build_hex_layout, sample_bat
 from d2dpower.training import (
     TrainConfig,
     adam_step,
+    cost_and_grad,
     finite_difference_check,
-    grad_batch_cost,
     init_adam,
     train,
 )
@@ -59,16 +60,7 @@ class TestAdam:
         return state, params
 
     def _constant_grads(self, params, value):
-        return Gradients(
-            tuple(
-                LayerParams(
-                    np.full_like(l.w, value),
-                    np.full_like(l.s, value),
-                    np.full_like(l.z, value),
-                )
-                for l in params.layers
-            )
-        )
+        return NetworkParams(params.config, np.full_like(params.flat, value))
 
     def test_zero_gradient_leaves_params(self):
         state, params = self._state_and_params()
@@ -99,8 +91,28 @@ class TestAdam:
         grads = self._constant_grads(params, 1.0)
         adam_step(state, params, grads)
         assert state.t == 1
-        assert state.m[0].w == pytest.approx(0.1)
-        assert state.v[0].w == pytest.approx(0.001)
+        assert state.m == pytest.approx(0.1)
+        assert state.v == pytest.approx(0.001)
+
+    def test_three_steps_match_elementwise_formula(self):
+        state, params = self._state_and_params()
+        rng = np.random.default_rng(1)
+        grads = [rng.normal(size=params.flat.size) for _ in range(3)]
+        theta = [float(x) for x in params.flat]
+        m = [0.0] * len(theta)
+        v = [0.0] * len(theta)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.lr
+        for t, g in enumerate(grads, start=1):
+            params, state = adam_step(state, params, NetworkParams(params.config, g))
+            c1 = 1.0 - b1**t
+            c2 = 1.0 - b2**t
+            for i, gi in enumerate(g.tolist()):
+                m[i] = b1 * m[i] + (1.0 - b1) * gi
+                v[i] = b2 * v[i] + (1.0 - b2) * gi * gi
+                theta[i] = theta[i] - lr * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
+        assert np.array_equal(params.flat, theta)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
 
 
 def test_gradient_matches_finite_differences():
@@ -115,10 +127,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_matches_with_active_penalties():
     params, batch, gains = _small_setup(seed=3)
     # shift outputs high so both penalty terms bite
-    layers = list(params.layers)
-    last = layers[-1]
-    layers[-1] = LayerParams(last.w, last.s, last.z + 3.0)
-    params = NetworkParams(tuple(layers), params.config)
+    params.layers[-1].z[...] += 3.0
     cfg = ConstraintConfig(p_max_w=1e-3, q_max_dbw=-160.0, c_p=7.0, c_if=3.0)
     err, _ = finite_difference_check(params, batch, gains, cfg, NO_SHADOW.noise_dbw)
     assert err < 1e-4
@@ -128,7 +137,7 @@ def test_constant_objective_gives_zero_gradient():
     # huge noise floor drives every SINR (and its gradient) to zero
     params, batch, gains = _small_setup(seed=4)
     cfg = ConstraintConfig(c_p=0.0, c_if=0.0)
-    cost, grads = grad_batch_cost(params, None, batch, gains, cfg, noise_dbw=400.0)
+    cost, grads, _ = cost_and_grad(params, None, batch, gains, cfg, noise_dbw=400.0)
     assert cost == pytest.approx(0.0, abs=1e-12)
     for layer in grads.layers:
         assert np.allclose(layer.w, 0.0, atol=1e-18)
@@ -139,13 +148,13 @@ def test_constant_objective_gives_zero_gradient():
 def test_duplicated_batch_leaves_cost_and_grads():
     params, batch, gains = _small_setup(seed=5)
     cfg = ConstraintConfig()
-    cost1, grads1 = grad_batch_cost(params, None, batch, gains, cfg, NO_SHADOW.noise_dbw)
+    cost1, grads1, _ = cost_and_grad(params, None, batch, gains, cfg, NO_SHADOW.noise_dbw)
     doubled = Drop(batch.layout, np.concatenate([batch.pairs, batch.pairs]))
     gains2 = GainTable(
         np.concatenate([gains.g_d2d_db, gains.g_d2d_db]),
         np.concatenate([gains.g_enb_db, gains.g_enb_db]),
     )
-    cost2, grads2 = grad_batch_cost(params, None, doubled, gains2, cfg, NO_SHADOW.noise_dbw)
+    cost2, grads2, _ = cost_and_grad(params, None, doubled, gains2, cfg, NO_SHADOW.noise_dbw)
     assert cost2 == pytest.approx(cost1, rel=1e-12)
     for a, b in zip(grads1.layers, grads2.layers):
         assert np.allclose(a.w, b.w, rtol=1e-9, atol=1e-15)
@@ -157,7 +166,22 @@ def test_grad_batch_cost_misaligned_tables():
     params, batch, gains = _small_setup(seed=6)
     with pytest.raises(ShapeError):
         short = GainTable(gains.g_d2d_db[:-1], gains.g_enb_db[:-1])
-        grad_batch_cost(params, None, batch, short, ConstraintConfig(), -130.0)
+        cost_and_grad(params, None, batch, short, ConstraintConfig(), -130.0)
+
+
+def test_non_finite_gradient_names_its_layer(monkeypatch):
+    params, batch, gains = _small_setup(seed=7)
+    real_backward = training.backward
+
+    def nan_in_layer_1(*args):
+        grads = real_backward(*args)
+        grads.layers[1].s[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", nan_in_layer_1)
+    with pytest.raises(NumericError) as err:
+        cost_and_grad(params, None, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw)
+    assert err.value.layer == 1
 
 
 def test_train_single_iteration():
