@@ -155,13 +155,20 @@ def init_stats(config: NetworkConfig, momentum: float = 0.99) -> BatchNormStats:
     )
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(h: np.ndarray) -> np.ndarray:
+    """Logistic function of h, computed in h's own buffer (h is overwritten).
+
+    With e = exp(-|h|) the result is 1/(1+e) where h >= 0 and e/(1+e)
+    elsewhere: the two overflow-free branches of the textbook masked form,
+    evaluated over the whole array without boolean indexing, so every bit
+    matches that form.
+    """
+    pos = h >= 0
+    e = np.copysign(h, -1.0, out=h)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, out, out=out)
 
 
 @dataclass
@@ -205,23 +212,31 @@ def forward(
     n_layers = len(params.layers)
     h = x
     out = None
+    scratch = None
     for idx, layer in enumerate(params.layers):
         a = h @ layer.w
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite pre-activation in layer {idx}", layer=idx)
+        if scratch is None or scratch.shape != a.shape:
+            scratch = np.empty_like(a)
+        # a becomes a_hat in place; scratch holds a*a, then hpre, then exp(-|hpre|)
         if mode == "train":
             mu = a.mean(axis=0)
-            var = a.var(axis=0)
+            a -= mu
+            # the mean of the squared deviations: a.var(axis=0), bit for bit
+            var = np.square(a, out=scratch).mean(axis=0)
             if stats is not None and update_stats:
                 m = stats.momentum
                 stats.mean[idx] = m * stats.mean[idx] + (1.0 - m) * mu
                 stats.var[idx] = m * stats.var[idx] + (1.0 - m) * var
         else:
-            mu = stats.mean[idx]
+            a -= stats.mean[idx]
             var = stats.var[idx]
         inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-        a_hat = (a - mu) * inv_std
-        hpre = layer.s * a_hat + layer.z
+        a_hat = a
+        a_hat *= inv_std
+        hpre = np.multiply(layer.s, a_hat, out=scratch)
+        hpre += layer.z
         if not np.isfinite(hpre).all():
             raise NumericError(f"non-finite activation in layer {idx}", layer=idx)
         y = _sigmoid(hpre)
@@ -247,26 +262,31 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
-    d_out = np.asarray(d_out, dtype=float)
+    last = len(params.layers) - 1
     grads = NetworkParams(cfg)
-    d_y = None
-    for idx in reversed(range(len(params.layers))):
+    # d_y is owned here: d_h, d_ahat and d_a are built in it in place, in
+    # the operation order of the textbook formulas, so the bits match them
+    d_y = np.multiply(np.asarray(d_out, dtype=float), scale)
+    d_y *= cache[last].clip_mask
+    scratch = None
+    for idx in range(last, -1, -1):
         layer = params.layers[idx]
         g = grads.layers[idx]
         c = cache[idx]
-        if idx == len(params.layers) - 1:
-            d_y = d_out * scale * c.clip_mask
-        d_h = d_y * c.y * (1.0 - c.y)
-        g.s[...] = (d_h * c.a_hat).sum(axis=0)
-        g.z[...] = d_h.sum(axis=0)
-        d_ahat = d_h * layer.s
-        d_a = c.inv_std * (
-            d_ahat
-            - d_ahat.mean(axis=0)
-            - c.a_hat * (d_ahat * c.a_hat).mean(axis=0)
-        )
-        np.matmul(c.x_in.T, d_a, out=g.w)
-        d_y = d_a @ layer.w.T
+        if scratch is None or scratch.shape != d_y.shape:
+            scratch = np.empty_like(d_y)
+        d_y *= c.y
+        d_y *= np.subtract(1.0, c.y, out=scratch)  # d_h = (d_y * y) * (1 - y)
+        g.s[...] = np.multiply(d_y, c.a_hat, out=scratch).sum(axis=0)
+        g.z[...] = d_y.sum(axis=0)
+        d_y *= layer.s  # d_ahat
+        m2 = np.multiply(d_y, c.a_hat, out=scratch).mean(axis=0)
+        d_y -= d_y.mean(axis=0)
+        d_y -= np.multiply(c.a_hat, m2, out=scratch)
+        d_y *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
+        np.matmul(c.x_in.T, d_y, out=g.w)
+        if idx:
+            d_y = d_y @ layer.w.T
     return grads
 
 

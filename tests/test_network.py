@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import network_reference as ref
 
 from d2dpower.errors import (
     CheckpointFormatError,
@@ -16,6 +20,8 @@ from d2dpower.network import (
     BatchNormStats,
     NetworkConfig,
     NetworkParams,
+    _sigmoid,
+    backward,
     forward,
     init_params,
     init_stats,
@@ -198,6 +204,133 @@ def test_non_finite_weights_identify_layer():
     with pytest.raises(NumericError) as err:
         forward(broken, np.random.default_rng(13).uniform(-1, 1, (4, 4)), "train", None)
     assert err.value.layer == 1
+
+
+def test_non_finite_weights_identify_layer_in_infer_mode():
+    cfg = NetworkConfig(width=4, depth=2, output_size=1)
+    params = init_params(cfg, np.random.default_rng(12))
+    broken = NetworkParams(cfg, params.flat.copy())
+    broken.layers[1].w[0, 0] = np.nan
+    x = np.random.default_rng(13).uniform(-1, 1, (4, 4))
+    with pytest.raises(NumericError) as err:
+        forward(broken, x, "infer", init_stats(cfg))
+    assert err.value.layer == 1
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_overflowing_activation_identifies_layer(mode):
+    # layer 1's pre-activation a = y0 @ W stays finite (y0 lies in (0, 1)),
+    # but a batch-norm scale near the float64 maximum makes s * a_hat
+    # infinite; the sigmoid would map that to a finite 0 or 1, so only the
+    # check on the activation itself can report it
+    cfg = NetworkConfig(width=8, depth=2, output_size=2)
+    params = init_params(cfg, np.random.default_rng(17))
+    params.layers[1].w[...] *= 10.0
+    params.layers[1].s[...] = 1e308
+    x = np.random.default_rng(18).uniform(-1000, 1000, (16, 4))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        forward(params, x, mode, init_stats(cfg))
+    assert err.value.layer == 1
+    assert str(err.value) == "non-finite activation in layer 1"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _check_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = ref.masked_sigmoid(x)
+        y = _sigmoid(x.copy())
+    assert np.array_equal(_bits(y), _bits(expected))
+    assert ((y >= 0.0) & (y <= 1.0)).all()
+
+
+def test_sigmoid_special_values_match_masked_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    values = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 709.0, -709.0, 745.0, -745.0,
+              1e300, -1e300, np.inf, -np.inf]
+    _check_sigmoid(values)
+    _check_sigmoid(np.array(values).reshape(2, 7))
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+@settings(deadline=None, max_examples=200)
+def test_sigmoid_matches_masked_form(values):
+    _check_sigmoid(values)
+
+
+# (width, depth, outputs, rows): desk (1 cell, 4 pairs, batch 16) and a
+# 3-cell per-channel desk variant (12 pairs, batch 16)
+_SHAPES = {"desk": (64, 3, 4, 64), "three_cell": (64, 3, 4, 192)}
+
+
+def _shape_case(shape, saturate, seed=19):
+    width, depth, outputs, rows = _SHAPES[shape]
+    cfg = NetworkConfig(width=width, depth=depth, output_size=outputs)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    if saturate:  # the saturation-forcing variant of acceptance criterion 8
+        for layer in params.layers:
+            layer.w[...] *= 100.0
+            layer.s[...] *= 100.0
+            layer.z[...] += 50.0
+    x = rng.uniform(-1000.0, 1000.0, (rows, 4))
+    d_out = rng.normal(0.0, 1e-2, (rows, outputs))
+    return cfg, params, x, d_out
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_fused_passes_match_unfused_reference(shape, saturate):
+    cfg, params, x, d_out = _shape_case(shape, saturate)
+    for update_stats in (True, False):
+        stats, ref_stats = init_stats(cfg), init_stats(cfg)
+        for _ in range(2):  # the second pass starts from refreshed statistics
+            out, cache = forward(params, x, "train", stats, update_stats=update_stats)
+            ref_out, ref_cache = ref.forward(params, x, "train", ref_stats, update_stats)
+            assert np.array_equal(out, ref_out)
+            for got, want in zip(cache, ref_cache):
+                for name, arr in want.items():
+                    assert np.array_equal(getattr(got, name), arr), name
+            grads = backward(params, cache, d_out)
+            assert np.array_equal(grads.flat, ref.backward(params, ref_cache, d_out).flat)
+            for got, want in zip(stats.mean + stats.var, ref_stats.mean + ref_stats.var):
+                assert np.array_equal(got, want)
+        out, cache = forward(params, x, "infer", stats)
+        ref_out, _ = ref.forward(params, x, "infer", ref_stats)
+        assert cache is None
+        assert np.array_equal(out, ref_out)
+
+
+def test_passes_leave_their_inputs_unchanged():
+    cfg, params, x, d_out = _shape_case("desk", saturate=False)
+    stats = init_stats(cfg)
+    forward(params, x, "train", stats)  # non-trivial running statistics
+    x_before, flat_before, stats_before = x.copy(), params.flat.copy(), stats.copy()
+    forward(params, x, "infer", stats)
+    _, cache = forward(params, x, "train", stats, update_stats=False)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(params.flat, flat_before)
+    for got, want in zip(stats.mean + stats.var, stats_before.mean + stats_before.var):
+        assert np.array_equal(got, want)
+    cached = [
+        {name: getattr(entry, name).copy() for name in ("x_in", "a_hat", "inv_std", "y")}
+        for entry in cache
+    ]
+    clip_mask = cache[-1].clip_mask.copy()
+    d_out_before = d_out.copy()
+    first = backward(params, cache, d_out)
+    second = backward(params, cache, d_out)
+    assert np.array_equal(first.flat, second.flat)
+    assert np.array_equal(d_out, d_out_before)
+    assert np.array_equal(params.flat, flat_before)
+    assert np.array_equal(cache[-1].clip_mask, clip_mask)
+    for entry, saved in zip(cache, cached):
+        for name, arr in saved.items():
+            assert np.array_equal(getattr(entry, name), arr), name
 
 
 @given(scale=st.floats(0.1, 1e4))
