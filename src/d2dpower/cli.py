@@ -1,7 +1,8 @@
 """Command-line interface: train, eval, powermap, gradcheck, oracle.
 
-Heavy imports happen inside the command handlers so --threads can pin
-the BLAS thread pools before numpy loads. The seed resolves in the order
+Heavy imports happen inside the command handlers so --threads, or else
+the config file's threads key (read with plain json), can pin the BLAS
+thread pools before numpy loads. The seed resolves in the order
 --seed flag > D2DPOWER_SEED environment variable > config file, and the
 effective configuration is echoed to <out-dir>/config_resolved.json so
 any run can be reproduced from its own output directory.
@@ -10,6 +11,7 @@ any run can be reproduced from its own output directory.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -53,6 +55,17 @@ def _set_thread_env(threads: int) -> None:
         os.environ[var] = str(threads)
 
 
+def _config_threads(path):
+    """The config file's threads key when it is a positive integer, else
+    None; load_config reports a bad file or value later."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            t = json.load(f)["threads"]
+        return int(t) if not isinstance(t, bool) and t >= 1 and t == int(t) else None
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+        return None
+
+
 def _resolve(args):
     """Load the config and fold in CLI/environment overrides."""
     from .config import load_config
@@ -68,10 +81,7 @@ def _resolve(args):
             raise ConfigurationError(
                 f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             )
-    cfg = cfg.with_overrides(seed=seed, out_dir=args.out_dir, threads=args.threads)
-    if cfg.threads is not None:
-        _set_thread_env(cfg.threads)
-    return cfg
+    return cfg.with_overrides(seed=seed, out_dir=args.out_dir, threads=args.threads)
 
 
 def _prepare_out(cfg) -> Path:
@@ -201,6 +211,8 @@ def cmd_powermap(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _resolve(args)
+    from dataclasses import replace
+
     import numpy as np
 
     from .channel import build_gain_table
@@ -218,7 +230,8 @@ def cmd_gradcheck(args) -> int:
     )
     n_ch = cfg.network().output_size if channel.per_channel_shadowing else None
     gains = build_gain_table(drops, channel, rng, n_ch)
-    params = init_params(cfg.network(), rng)
+    # the gate runs in float64 whatever network.dtype says
+    params = init_params(replace(cfg.network(), dtype="float64"), rng)
     max_err, n_entries = finite_difference_check(
         params, drops, gains, cfg.constraints(), channel.noise_dbw
     )
@@ -309,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        _set_thread_env(args.threads)
+    if args.threads is not None and args.threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    threads = args.threads if args.threads is not None else _config_threads(args.config)
+    if threads is not None:
+        _set_thread_env(threads)
     from .errors import (
         CheckpointError,
         ConfigurationError,

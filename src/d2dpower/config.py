@@ -49,6 +49,7 @@ DEFAULTS = {
         "bn_momentum": 0.99,
         "out_min_dbm": -150.0,
         "out_max_dbm": 20.0,
+        "dtype": "float64",
     },
     "constraints": {
         "p_max_w": 0.25,
@@ -91,7 +92,7 @@ _INT_KEYS = {
     "oracle_levels",
     "oracle_direct_iters",
 }
-_STR_KEYS = {"out_dir"}
+_STR_KEYS = {"out_dir", "dtype"}
 _NULLABLE_KEYS = {"threads", "enb_l1_db", "enb_l2_db"}
 
 
@@ -196,6 +197,7 @@ class ExperimentConfig:
             bn_epsilon=n["bn_epsilon"],
             out_min_dbm=n["out_min_dbm"],
             out_max_dbm=n["out_max_dbm"],
+            dtype=n["dtype"],
         )
 
     def constraints(self) -> ConstraintConfig:
@@ -247,6 +249,11 @@ class ExperimentConfig:
             raise ConfigurationError("training.batch_size must be >= 2")
         if t["lr"] <= 0:
             raise ConfigurationError("training.lr must be positive")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= t[key] < 1.0:
+                raise ConfigurationError(f"training.{key} must be in [0, 1)")
+        if t["adam_epsilon"] <= 0:
+            raise ConfigurationError("training.adam_epsilon must be positive")
         if t["log_every"] < 1:
             raise ConfigurationError("training.log_every must be >= 1")
         mom = self.resolved["network"]["bn_momentum"]

@@ -28,9 +28,10 @@ from .errors import (
 )
 
 # Final sigmoid outputs are clipped into [_CLIP, 1 - _CLIP] before
-# rescaling: a saturated sigmoid rounds to exactly 1.0 in float64, which
-# would emit the closed-interval endpoint instead of a power strictly
-# inside the output range.
+# rescaling: a saturated sigmoid rounds to exactly 1.0, which would emit
+# the closed-interval endpoint instead of a power strictly inside the
+# output range. Clip and rescale run in float64 whatever the compute
+# dtype, since 1 - 1e-12 rounds to 1.0 in float32.
 _CLIP = 1e-12
 
 _MAGIC = b"D2DPWNET"
@@ -47,6 +48,7 @@ class NetworkConfig:
     bn_epsilon: float = 1e-5
     out_min_dbm: float = -150.0
     out_max_dbm: float = 20.0
+    dtype: str = "float64"  # of the parameters, gradients and layer buffers
 
     def __post_init__(self):
         if self.width < 1:
@@ -63,6 +65,8 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"out_min_dbm must be < out_max_dbm, got {self.out_min_dbm} and {self.out_max_dbm}"
             )
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigurationError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     def layer_sizes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per weight matrix: depth hidden layers of the
@@ -82,7 +86,7 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Every weight, batch-norm scale and shift in one float64 vector.
+    """Every weight, batch-norm scale and shift in one config.dtype vector.
 
     flat holds, layer by layer in config.layer_sizes() order, the
     row-major W, then s, then z; it defaults to zeros. layers is a tuple
@@ -98,9 +102,9 @@ class NetworkParams:
         sizes = self.config.layer_sizes()
         n = sum((fan_in + 2) * fan_out for fan_in, fan_out in sizes)
         if self.flat is None:
-            flat = np.zeros(n)
+            flat = np.zeros(n, dtype=self.config.dtype)
         else:
-            flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+            flat = np.ascontiguousarray(self.flat, dtype=self.config.dtype)
             if flat.shape != (n,):
                 raise ShapeError(f"expected a flat parameter vector of {n}, got {flat.shape}")
         layers = []
@@ -193,12 +197,13 @@ def forward(
     needs and is only built in train mode (None in infer mode). Train
     mode requires B >= 2 (per-feature variance over the batch) and, when
     stats is given and update_stats is True, refreshes the running
-    statistics in place.
+    statistics in place. The layers compute in config.dtype; p_dbm is
+    float64.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     cfg = params.config
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=cfg.dtype)
     if x.ndim != 2 or x.shape[1] != cfg.input_size:
         raise ShapeError(f"expected input [B, {cfg.input_size}], got {x.shape}")
     if mode == "train" and x.shape[0] < 2:
@@ -242,8 +247,9 @@ def forward(
         y = _sigmoid(hpre)
         clip_mask = None
         if idx == n_layers - 1:
-            y_clipped = np.clip(y, _CLIP, 1.0 - _CLIP)
-            clip_mask = (y > _CLIP) & (y < 1.0 - _CLIP)
+            y64 = np.asarray(y, dtype=np.float64)
+            y_clipped = np.clip(y64, _CLIP, 1.0 - _CLIP)
+            clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
             out = y_clipped * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if cache is not None:
             cache.append(_LayerCache(h, a_hat, inv_std, y, clip_mask))
@@ -266,7 +272,7 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
     grads = NetworkParams(cfg)
     # d_y is owned here: d_h, d_ahat and d_a are built in it in place, in
     # the operation order of the textbook formulas, so the bits match them
-    d_y = np.multiply(np.asarray(d_out, dtype=float), scale)
+    d_y = np.multiply(np.asarray(d_out, dtype=cfg.dtype), scale)
     d_y *= cache[last].clip_mask
     scratch = None
     for idx in range(last, -1, -1):
@@ -296,7 +302,7 @@ def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
     Layout: fixed header (magic, format version, depth, width,
     input_size, output_size, bn_epsilon, out range), then per layer the
     arrays W, S, Z, running mean, running variance as little-endian
-    float64, row-major.
+    float64, row-major, whatever the compute dtype.
     """
     cfg = params.config
     header = _HEADER.pack(
@@ -330,7 +336,8 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
     """Read a checkpoint back into (NetworkParams, BatchNormStats).
 
     If expect_config is given, its structural fields must match the
-    stored header. Running-statistics momentum is not persisted and comes
+    stored header, and the parameters come back in its dtype (float64
+    otherwise). Running-statistics momentum is not persisted and comes
     back at the default.
     """
     with open(path, "rb") as f:
@@ -354,6 +361,7 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
             bn_epsilon=bn_eps,
             out_min_dbm=out_min,
             out_max_dbm=out_max,
+            dtype=expect_config.dtype if expect_config is not None else "float64",
         )
         if expect_config is not None:
             expected = (

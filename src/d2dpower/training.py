@@ -11,7 +11,7 @@ configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +68,11 @@ class TrainConfig:
             )
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_epsilon <= 0:
+            raise ConfigurationError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,14 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
+    # Python floats: under NEP 50 an np.float64 would promote float32 steps
     return AdamState(
-        lr=lr,
+        lr=float(lr),
         m=np.zeros_like(params.flat),
         v=np.zeros_like(params.flat),
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
+        beta1=float(beta1),
+        beta2=float(beta2),
+        epsilon=float(epsilon),
     )
 
 
@@ -182,8 +188,11 @@ def finite_difference_check(
 
     Error metric per entry: |a - n| / max(1, |a| + |n|). Returns
     (max_error, n_entries). Intended for small networks; the cost is two
-    forward passes per parameter.
+    forward passes per parameter. Runs in float64 whatever
+    params.config.dtype says: differences at h = 1e-5 mean nothing in
+    float32.
     """
+    params = NetworkParams(replace(params.config, dtype="float64"), params.flat)
     _, grads, _ = cost_and_grad(
         params, None, drops, gains, constraints, noise_dbw, update_stats=False
     )

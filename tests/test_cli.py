@@ -273,3 +273,52 @@ def test_checkpoint_shape_mismatch_exit_code(tmp_path):
     )
     assert result.returncode == 3
     assert "does not match" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "section, bad",
+    [
+        ("training", {"beta1": 1.0}),
+        ("training", {"beta1": -0.1}),
+        ("training", {"beta2": 1.0}),
+        ("training", {"adam_epsilon": 0.0}),
+        ("network", {"dtype": "float16"}),
+    ],
+    ids=["beta1_one", "beta1_negative", "beta2_one", "adam_epsilon_zero", "dtype_float16"],
+)
+def test_invalid_optimizer_or_dtype_rejected(tmp_path, section, bad):
+    # beta1 = 1 used to divide by zero in the bias correction and abort
+    # at iteration 2 with exit 4; beta2 = 1 silently gave a zero step
+    (key,) = bad
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config({section: bad})
+    cfg = write_config(tmp_path, **{section: bad})
+    result = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "x")
+    assert result.returncode == 2
+    assert key in result.stderr
+
+
+def test_config_threads_set_before_numpy_loads(tmp_path):
+    # OpenBLAS reads its thread variables once, when numpy loads
+    cfg = write_config(tmp_path, threads=1)
+    probe = (
+        "import json, os, sys\n"
+        "from d2dpower import cli\n"
+        "seen = []\n"
+        "set_env = cli._set_thread_env\n"
+        "def spy(n):\n"
+        "    seen.append(['numpy' in sys.modules, n])\n"
+        "    set_env(n)\n"
+        "cli._set_thread_env = spy\n"
+        f"code = cli.main(['train', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'run')!r}])\n"
+        "print(json.dumps([code, seen, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    code, seen, openblas = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert seen == [[False, 1]]
+    assert openblas == "1"

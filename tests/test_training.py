@@ -236,6 +236,16 @@ def test_train_config_validation():
         _tiny_train_config(lr=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": 1.5}, {"adam_epsilon": 0.0}],
+    ids=["beta1_one", "beta1_negative", "beta2_one", "beta2_above_one", "adam_epsilon_zero"],
+)
+def test_train_config_rejects_invalid_adam_hyperparameters(bad):
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        _tiny_train_config(**bad)
+
+
 def test_running_stats_move_during_training():
     cfg = _tiny_train_config(n_epoch=5)
     _, stats, _ = train(cfg)
