@@ -238,22 +238,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Construct every typed sub-config so invalid values fail here."""
-        self.topology()
-        self.channel()
-        self.network()
-        self.constraints()
+        self.train_config()  # and with it the topology, channel, network and constraints
         t = self.resolved["training"]
-        if t["n_epoch"] < 1:
-            raise ConfigurationError("training.n_epoch must be >= 1")
-        if t["batch_size"] < 2:
-            raise ConfigurationError("training.batch_size must be >= 2")
-        if t["lr"] <= 0:
-            raise ConfigurationError("training.lr must be positive")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= t[key] < 1.0:
-                raise ConfigurationError(f"training.{key} must be in [0, 1)")
-        if t["adam_epsilon"] <= 0:
-            raise ConfigurationError("training.adam_epsilon must be positive")
         if t["log_every"] < 1:
             raise ConfigurationError("training.log_every must be >= 1")
         mom = self.resolved["network"]["bn_momentum"]

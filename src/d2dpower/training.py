@@ -29,6 +29,10 @@ from .network import (
 from .objective import ConstraintConfig, StackedCost, stacked_cost
 from .topology import Drop, TopologyConfig, build_hex_layout, flatten_batch, sample_batch
 
+# Entries per chunk of an Adam step: the chunk of each of the five
+# vectors it touches, plus two temporaries, stays in a core's L2 cache.
+_ADAM_BLOCK = 1 << 16
+
 
 @dataclass
 class AdamState:
@@ -113,27 +117,35 @@ def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams):
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
     m_hat = m/(1-b1^t), v_hat = v/(1-b2^t). The moments are updated in
-    place; params is left untouched.
+    place; params is left untouched. The update runs over chunks of
+    _ADAM_BLOCK entries, each through every step while it is in cache;
+    every entry's arithmetic is the same as over the whole vectors.
     """
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    g = grads.flat
-    tmp = (1.0 - state.beta1) * g
-    state.m *= state.beta1
-    state.m += tmp
-    np.multiply(1.0 - state.beta2, g, out=tmp)
-    tmp *= g
-    state.v *= state.beta2
-    state.v += tmp
-    np.divide(state.m, c1, out=tmp)
-    tmp *= state.lr
-    denom = np.divide(state.v, c2)
-    np.sqrt(denom, out=denom)
-    denom += state.epsilon
-    tmp /= denom
-    # denom is dead: reuse its memory for the new parameters
-    return NetworkParams(params.config, np.subtract(params.flat, tmp, out=denom)), state
+    new = np.empty_like(params.flat)
+    tmp = np.empty(min(new.size, _ADAM_BLOCK), new.dtype)
+    denom = np.empty_like(tmp)
+    for i in range(0, new.size, _ADAM_BLOCK):
+        block = slice(i, i + _ADAM_BLOCK)
+        g, m, v = grads.flat[block], state.m[block], state.v[block]
+        step, d = tmp[: len(g)], denom[: len(g)]
+        np.multiply(1.0 - state.beta1, g, out=step)
+        m *= state.beta1
+        m += step
+        np.multiply(1.0 - state.beta2, g, out=step)
+        step *= g
+        v *= state.beta2
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += state.epsilon
+        step /= d
+        np.subtract(params.flat[block], step, out=new[block])
+    return NetworkParams(params.config, new), state
 
 
 def cost_and_grad(

@@ -2,13 +2,17 @@
 
 Each formula is written once, out of place, with the textbook masked
 sigmoid, so it shares no buffer or in-place step with the package's
-fused hot path. The network tests assert that the package matches it bit
-for bit: the fused code must evaluate the same operations in the same
-order, only into arrays it already owns.
+fused hot path, and it works on whole arrays, never on row blocks. The
+network tests assert that the package matches it bit for bit: the fused
+code must evaluate the same operations in the same order, only into
+arrays it already owns. The layers compute in config.dtype; where a
+float64 running statistic meets a float32 activation, the result is
+rounded back to float32, as the package stores it.
 """
 
 import numpy as np
 
+from d2dpower import network
 from d2dpower.network import NetworkParams
 
 CLIP = 1e-12
@@ -29,7 +33,7 @@ def forward(params, x, mode="train", stats=None, update_stats=True):
     """Return (p_dbm, cache), cache a list of per-layer dicts with the keys
     x_in, a_hat, inv_std, y, clip_mask (train mode only)."""
     cfg = params.config
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=cfg.dtype)
     cache = [] if mode == "train" else None
     n_layers = len(params.layers)
     h = x
@@ -47,13 +51,14 @@ def forward(params, x, mode="train", stats=None, update_stats=True):
             mu = stats.mean[idx]
             var = stats.var[idx]
         inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-        a_hat = (a - mu) * inv_std
+        a_hat = ((a - mu).astype(cfg.dtype) * inv_std).astype(cfg.dtype)
         hpre = layer.s * a_hat + layer.z
         y = masked_sigmoid(hpre)
         clip_mask = None
-        if idx == n_layers - 1:
-            y_clipped = np.clip(y, CLIP, 1.0 - CLIP)
-            clip_mask = (y > CLIP) & (y < 1.0 - CLIP)
+        if idx == n_layers - 1:  # the clip and rescale run in float64
+            y64 = y.astype(np.float64)
+            y_clipped = np.clip(y64, CLIP, 1.0 - CLIP)
+            clip_mask = (y64 > CLIP) & (y64 < 1.0 - CLIP)
             out = y_clipped * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if cache is not None:
             cache.append(dict(x_in=h, a_hat=a_hat, inv_std=inv_std, y=y, clip_mask=clip_mask))
@@ -66,7 +71,7 @@ def backward(params, cache, d_out):
     d(cost)/d(p_dbm) and the cache of a train-mode reference forward."""
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
-    d_out = np.asarray(d_out, dtype=float)
+    d_out = np.asarray(d_out, dtype=cfg.dtype)
     grads = NetworkParams(cfg)
     d_y = None
     for idx in reversed(range(len(params.layers))):
@@ -87,3 +92,19 @@ def backward(params, cache, d_out):
         g.w[...] = c["x_in"].T @ d_a
         d_y = d_a @ layer.w.T
     return grads
+
+
+def save_checkpoint(params, stats, path):
+    """Format v1 written with one .tobytes() copy per array."""
+    cfg = params.config
+    with open(path, "wb") as f:
+        f.write(
+            network._HEADER.pack(
+                network._MAGIC, network._FORMAT_VERSION, cfg.depth, cfg.width,
+                cfg.input_size, cfg.output_size, cfg.bn_epsilon, cfg.out_min_dbm,
+                cfg.out_max_dbm,
+            )
+        )
+        for idx, layer in enumerate(params.layers):
+            for arr in (layer.w, layer.s, layer.z, stats.mean[idx], stats.var[idx]):
+                f.write(np.asarray(arr, dtype="<f8").tobytes())

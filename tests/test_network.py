@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import network_reference as ref
 
+from d2dpower import network
 from d2dpower.errors import (
     CheckpointFormatError,
     CheckpointShapeError,
@@ -47,6 +48,18 @@ def test_init_params_equals_sequential_xavier_draws():
         assert np.array_equal(layer.s, np.ones(fo))
         assert np.array_equal(layer.z, np.zeros(fo))
     assert params.flat.size == sum((fi + 2) * fo for fi, fo in cfg.layer_sizes())
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_init_params_draws_rows_in_blocks_like_one_draw(dtype):
+    # two full row blocks and a ragged one in every weight matrix
+    n = 2 * network._ROWS + 3
+    cfg = NetworkConfig(width=n, depth=1, output_size=4, input_size=n, dtype=dtype)
+    params = init_params(cfg, np.random.default_rng(22))
+    rng = np.random.default_rng(22)
+    for layer, (fi, fo) in zip(params.layers, cfg.layer_sizes()):
+        r = np.sqrt(6.0 / (fi + fo))
+        assert np.array_equal(layer.w, rng.uniform(-r, r, (fi, fo)).astype(dtype))
 
 
 def test_layer_views_share_the_flat_vector():
@@ -234,6 +247,24 @@ def test_overflowing_activation_identifies_layer(mode):
     assert str(err.value) == "non-finite activation in layer 1"
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_non_finite_activation_in_last_row_block_identifies_layer(mode):
+    # every row is zero but the last, which alone lies in the ragged last
+    # block: its normalized pre-activation is about sqrt(rows) in train
+    # mode (about |x @ W| in infer mode) while the other rows' stay below 1,
+    # so with s = 1e308 only the last block's s * a_hat overflows
+    rows = 3 * network._ROWS + 5
+    cfg = NetworkConfig(width=8, depth=2, output_size=2)
+    params = init_params(cfg, np.random.default_rng(20))
+    params.layers[0].s[...] = 1e308
+    x = np.zeros((rows, 4))
+    x[-1] = 100.0
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        forward(params, x, mode, init_stats(cfg))
+    assert err.value.layer == 0
+    assert str(err.value) == "non-finite activation in layer 0"
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
@@ -267,9 +298,9 @@ def test_sigmoid_matches_masked_form(values):
 _SHAPES = {"desk": (64, 3, 4, 64), "three_cell": (64, 3, 4, 192)}
 
 
-def _shape_case(shape, saturate, seed=19):
-    width, depth, outputs, rows = _SHAPES[shape]
-    cfg = NetworkConfig(width=width, depth=depth, output_size=outputs)
+def _shape_case(shape, saturate, seed=19, dtype="float64"):
+    width, depth, outputs, rows = shape
+    cfg = NetworkConfig(width=width, depth=depth, output_size=outputs, dtype=dtype)
     rng = np.random.default_rng(seed)
     params = init_params(cfg, rng)
     if saturate:  # the saturation-forcing variant of acceptance criterion 8
@@ -285,7 +316,18 @@ def _shape_case(shape, saturate, seed=19):
 @pytest.mark.parametrize("saturate", [False, True])
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_fused_passes_match_unfused_reference(shape, saturate):
-    cfg, params, x, d_out = _shape_case(shape, saturate)
+    _check_against_reference(*_shape_case(_SHAPES[shape], saturate))
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_row_blocked_passes_match_unfused_reference(dtype, saturate):
+    # three full row blocks and a ragged one of 5 rows
+    shape = (24, 2, 4, 3 * network._ROWS + 5)
+    _check_against_reference(*_shape_case(shape, saturate, dtype=dtype))
+
+
+def _check_against_reference(cfg, params, x, d_out):
     for update_stats in (True, False):
         stats, ref_stats = init_stats(cfg), init_stats(cfg)
         for _ in range(2):  # the second pass starts from refreshed statistics
@@ -306,7 +348,7 @@ def test_fused_passes_match_unfused_reference(shape, saturate):
 
 
 def test_passes_leave_their_inputs_unchanged():
-    cfg, params, x, d_out = _shape_case("desk", saturate=False)
+    cfg, params, x, d_out = _shape_case(_SHAPES["desk"], saturate=False)
     stats = init_stats(cfg)
     forward(params, x, "train", stats)  # non-trivial running statistics
     x_before, flat_before, stats_before = x.copy(), params.flat.copy(), stats.copy()
@@ -358,6 +400,13 @@ class TestCheckpoint:
         path = tmp_path / "net.bin"
         save_checkpoint(params, stats, path)
         return params, stats, path
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bytes_equal_reference_writer(self, tmp_path, dtype):
+        cfg = NetworkConfig(width=8, depth=2, output_size=4, dtype=dtype)
+        params, stats, path = self._make(tmp_path, cfg=cfg)
+        ref.save_checkpoint(params, stats, tmp_path / "ref.bin")
+        assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
 
     def test_roundtrip_bit_exact(self, tmp_path):
         params, stats, path = self._make(tmp_path)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import training_reference as ref
 
 from d2dpower import training
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table
@@ -113,6 +114,26 @@ class TestAdam:
         assert np.array_equal(params.flat, theta)
         assert np.array_equal(state.m, m)
         assert np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunked_steps_match_whole_vector_reference(self, dtype):
+        # two full chunks and a ragged one: a (n - 5)-input, 1-wide,
+        # 1-deep net with one output holds n = 2 * _ADAM_BLOCK + 7 entries
+        n = 2 * training._ADAM_BLOCK + 7
+        cfg = NetworkConfig(width=1, depth=1, output_size=1, input_size=n - 5, dtype=dtype)
+        rng = np.random.default_rng(3)
+        params = NetworkParams(cfg, rng.normal(size=n))
+        assert params.flat.size == n
+        state, ref_state = init_adam(params, lr=0.01), init_adam(params, lr=0.01)
+        ref_params = params
+        for _ in range(3):
+            grads = NetworkParams(cfg, rng.normal(0.0, 10.0, size=n))
+            params, state = adam_step(state, params, grads)
+            ref_params, ref_state = ref.adam_step(ref_state, ref_params, grads)
+            assert params.flat.dtype == np.dtype(dtype)
+            assert np.array_equal(params.flat, ref_params.flat)
+            assert np.array_equal(state.m, ref_state.m)
+            assert np.array_equal(state.v, ref_state.v)
 
 
 def test_gradient_matches_finite_differences():
