@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams
@@ -111,6 +112,9 @@ def _check_value(path: str, key: str, value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        # json reads NaN, Infinity and -Infinity as floats
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     if key in _INT_KEYS:
         if float(value) != int(value):
             raise ConfigurationError(f"{path}: expected an integer, got {value!r}")

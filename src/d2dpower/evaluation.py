@@ -23,7 +23,12 @@ from .objective import (
     ConstraintConfig,
     stacked_cost,
 )
-from .topology import CellLayout, Drop, flatten_batch, points_in_hexagon, sample_drop
+# evaluate samples through sample_batch. sample_drop is not called here but
+# stays importable: perfbench/tracing.py wraps evaluation.sample_drop and
+# would report the name as an absent layer.
+from .topology import (  # noqa: F401
+    CellLayout, flatten_batch, points_in_hexagon, sample_batch, sample_drop,
+)
 
 _GRID_SEARCH_BUDGET = 10_000_000
 _GRID_CHUNK = 65_536
@@ -91,10 +96,7 @@ def evaluate(
     done = 0
     while done < n_drops:
         m = min(_EVAL_CHUNK, n_drops - done)
-        drops = Drop(
-            layout,
-            np.stack([sample_drop(layout, pairs_per_cell, dmax, rng).pairs for _ in range(m)]),
-        )
+        drops = sample_batch(layout, pairs_per_cell, dmax, m, rng)
         gains = build_gain_table(drops, channel, rng, n_ch)
         p_flat, _ = forward(params, flatten_batch(drops), "infer", stats)
         comp = stacked_cost(

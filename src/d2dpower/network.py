@@ -34,11 +34,12 @@ from .errors import (
 # dtype, since 1 - 1e-12 rounds to 1.0 in float32.
 _CLIP = 1e-12
 
-# Rows per block of the elementwise passes in forward and backward, and
-# per Xavier draw: a 1500-wide block of each array a pass touches stays
-# in a core's L2 cache. Each pass computes every element exactly as on
-# the whole array, so the bits do not depend on it.
-_ROWS = 64
+# Elements per row block of the elementwise passes in forward and
+# backward, and per Xavier draw: 64 rows of a 1500-wide layer, so a block
+# of each array a pass touches stays in a core's L2 cache, and more rows
+# of a narrower one. Each pass computes every element exactly as on the
+# whole array, so the bits do not depend on it.
+_BLOCK = 64 * 1500
 
 _MAGIC = b"D2DPWNET"
 _FORMAT_VERSION = 1
@@ -142,9 +143,9 @@ def xavier_init(fan_in: int, fan_out: int, rng, out: np.ndarray | None = None) -
     """Uniform(-r, r) weights with r = sqrt(6 / (fan_in + fan_out)),
     written into out (a new float64 [fan_in, fan_out] array by default).
 
-    The rows are drawn _ROWS at a time: the same generator stream, so the
-    same values, as one draw of the whole matrix, without a whole-matrix
-    float64 temporary.
+    The rows are drawn one row block at a time: the same generator
+    stream, so the same values, as one draw of the whole matrix, without a
+    whole-matrix float64 temporary.
     """
     if fan_in < 1 or fan_out < 1:
         raise ConfigurationError("fan_in and fan_out must be >= 1")
@@ -194,12 +195,14 @@ def _sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _row_blocks(*arrays):
-    """The arrays' row blocks of _ROWS rows, in step, as an iterable of
-    tuples; arrays of at most _ROWS rows come whole, without slicing."""
-    n = len(arrays[0])
-    if n <= _ROWS:
+    """The 2-D arrays' row blocks of max(1, _BLOCK // width) rows, in step,
+    as an iterable of tuples, the width being the first array's; arrays of
+    at most _BLOCK elements come whole, without slicing."""
+    if arrays[0].size <= _BLOCK:
         return (arrays,)
-    return (tuple(a[i : i + _ROWS] for a in arrays) for i in range(0, n, _ROWS))
+    n, width = arrays[0].shape
+    rows = max(1, _BLOCK // width)
+    return (tuple(a[i : i + rows] for a in arrays) for i in range(0, n, rows))
 
 
 def _normalize_activate(a, inv_std, layer, scratch, idx):

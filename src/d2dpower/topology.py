@@ -18,6 +18,12 @@ SQRT3 = math.sqrt(3.0)
 
 SUPPORTED_CELL_COUNTS = (1, 3, 7)
 
+# (drop, cell) units drawn per speculative generator call in sample_batch.
+# A unit whose first rejection round falls short discards the draws of the
+# units after it in its window, so this trades calls against redrawn
+# doubles; no output bit depends on it.
+_WINDOW = 64
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -61,7 +67,7 @@ class Drop:
 
     pairs holds one (tx_x, tx_y, rx_x, rx_y) row per pair: [K, 4] for a
     single drop, or [B, K, 4] for a stack of B drops sharing the layout.
-    sample_drop lays pairs out cell-major, pairs_per_cell per cell.
+    sample_batch lays pairs out cell-major, pairs_per_cell per cell.
     """
 
     layout: CellLayout
@@ -134,61 +140,91 @@ def points_in_hexagon(points: np.ndarray, center, radius: float) -> np.ndarray:
     )
 
 
-def sample_points_in_hexagon(center, radius: float, n: int, rng) -> np.ndarray:
-    """Sample n points uniformly inside a hexagon by rejection from its
-    bounding box (acceptance ratio ~0.75 per draw)."""
-    out = np.empty((n, 2), dtype=float)
-    apothem = SQRT3 * radius / 2.0
-    filled = 0
-    while filled < n:
-        m = max(8, int(1.6 * (n - filled)))
-        cand = np.column_stack(
-            [rng.uniform(-radius, radius, m), rng.uniform(-apothem, apothem, m)]
-        )
-        keep = cand[points_in_hexagon(cand, (0.0, 0.0), radius)]
-        take = min(len(keep), n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out + np.asarray(center, dtype=float)
-
-
 def sample_drop(layout: CellLayout, pairs_per_cell: int, dmax: float, rng) -> Drop:
-    """Place pairs_per_cell transmitters uniformly inside every hexagon;
-    each receiver sits at distance ~ Uniform[0, dmax] and bearing
-    ~ Uniform[0, 2*pi) from its transmitter.
-
-    Receivers may land outside the home cell; only the transmitter is
-    constrained to it.
-    """
-    if pairs_per_cell < 1:
-        raise ConfigurationError(f"pairs_per_cell must be >= 1, got {pairs_per_cell}")
-    if dmax < 0:
-        raise ConfigurationError(f"dmax must be >= 0, got {dmax}")
-    rows = []
-    for cell in range(layout.cell_count):
-        center = layout.cell_centers[cell]
-        tx = sample_points_in_hexagon(center, layout.radius, pairs_per_cell, rng)
-        dist = rng.uniform(0.0, dmax, pairs_per_cell)
-        bearing = rng.uniform(0.0, 2.0 * math.pi, pairs_per_cell)
-        rx = tx + np.column_stack([dist * np.cos(bearing), dist * np.sin(bearing)])
-        rows.append(np.concatenate([tx, rx], axis=1))
-    return Drop(layout, np.concatenate(rows, axis=0))
+    """One drop: the [K, 4] pair rows of a sample_batch of one."""
+    return Drop(layout, sample_batch(layout, pairs_per_cell, dmax, 1, rng).pairs[0])
 
 
 def sample_batch(
     layout: CellLayout, pairs_per_cell: int, dmax: float, batch_size: int, rng
 ) -> Drop:
     """batch_size independent drops from one layout, stacked as [B, K, 4]
-    pair rows; drop i consumes the generator exactly as the i-th of
-    batch_size sequential sample_drop calls."""
+    pair rows, pairs_per_cell per cell, cell-major within a drop.
+
+    Each (drop, cell) unit, in that order, takes its transmitters
+    uniformly inside the hexagon by rejection from the bounding box: rounds
+    of m = max(8, int(1.6 * missing)) x candidates, then m y candidates,
+    keeping accepted points in order until pairs_per_cell are found. It
+    then draws pairs_per_cell receiver distances ~ Uniform[0, dmax] and
+    bearings ~ Uniform[0, 2*pi). Receivers may land outside the home cell.
+
+    Units are drawn _WINDOW at a time in one generator call, as if each
+    needed one rejection round. At the first unit whose round falls short,
+    the generator is rewound to the end of that round and the unit draws
+    its further rounds and receivers alone; the next window starts after
+    it. So the generator is consumed exactly as by the unit-by-unit loop.
+    """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    return Drop(
-        layout,
-        np.stack(
-            [sample_drop(layout, pairs_per_cell, dmax, rng).pairs for _ in range(batch_size)]
-        ),
-    )
+    if pairs_per_cell < 1:
+        raise ConfigurationError(f"pairs_per_cell must be >= 1, got {pairs_per_cell}")
+    if dmax < 0:
+        raise ConfigurationError(f"dmax must be >= 0, got {dmax}")
+    n = pairs_per_cell
+    r = layout.radius
+    apothem = SQRT3 * r / 2.0
+    m = max(8, int(1.6 * n))
+    span = 2 * m + 2 * n  # doubles one unit draws when its first round suffices
+    units = batch_size * layout.cell_count
+    reps = min(units, _WINDOW)
+    lo = np.tile(np.repeat([-r, -apothem, 0.0, 0.0], [m, m, n, n]), reps)
+    hi = np.tile(np.repeat([r, apothem, dmax, 2.0 * math.pi], [m, m, n, n]), reps)
+    centers = np.tile(layout.cell_centers, (batch_size, 1))
+    pairs = np.empty((units, n, 4))
+    u = 0
+    while u < units:
+        w = min(_WINDOW, units - u)
+        state = rng.bit_generator.state
+        draw = rng.uniform(lo[: w * span], hi[: w * span]).reshape(w, span)
+        cand = np.stack((draw[:, :m], draw[:, m : 2 * m]), axis=-1)
+        inside = points_in_hexagon(cand.reshape(-1, 2), (0.0, 0.0), r).reshape(w, m)
+        rank = np.cumsum(inside, axis=1)
+        short = np.flatnonzero(rank[:, -1] < n)
+        done = int(short[0]) if short.size else w
+        keep = inside[:done] & (rank[:done] <= n)  # the first n accepted points
+        _place_pairs(
+            pairs[u : u + done],
+            cand[:done][keep].reshape(done, n, 2) + centers[u : u + done, None],
+            draw[:done, 2 * m : 2 * m + n],
+            draw[:done, 2 * m + n :],
+        )
+        u += done
+        if done == w:
+            continue
+        rng.bit_generator.state = state
+        rng.random(done * span + 2 * m)  # up to the end of the short round
+        found = [cand[done][inside[done]]]
+        missing = n - len(found[0])
+        while missing:
+            k = max(8, int(1.6 * missing))
+            more = np.column_stack([rng.uniform(-r, r, k), rng.uniform(-apothem, apothem, k)])
+            found.append(more[points_in_hexagon(more, (0.0, 0.0), r)][:missing])
+            missing -= len(found[-1])
+        dist = rng.uniform(0.0, dmax, n)
+        bearing = rng.uniform(0.0, 2.0 * math.pi, n)
+        _place_pairs(pairs[u], np.concatenate(found) + centers[u], dist, bearing)
+        u += 1
+    return Drop(layout, pairs.reshape(batch_size, -1, 4))
+
+
+def _place_pairs(out, tx, dist, bearing):
+    """Write (tx_x, tx_y, rx_x, rx_y) rows into out, each receiver at
+    dist along bearing from its transmitter."""
+    out[..., :2] = tx
+    np.multiply(dist, np.cos(bearing), out=out[..., 2])
+    out[..., 2] += tx[..., 0]
+    np.multiply(dist, np.sin(bearing), out=out[..., 3])
+    out[..., 3] += tx[..., 1]
 
 
 def flatten_batch(drops: Drop) -> np.ndarray:

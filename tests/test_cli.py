@@ -229,6 +229,20 @@ def test_nonpositive_enb_l2_db_rejected(tmp_path):
     assert "enb_l2_db" in result.stderr
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("section, key", [("topology", "dmax_m"), ("training", "n_epoch")])
+def test_non_finite_number_rejected(tmp_path, section, key, bad):
+    # json reads NaN and Infinity; they used to end in an OverflowError from
+    # the sampler (dmax_m) or a ValueError from int() (n_epoch)
+    with pytest.raises(ConfigurationError, match=f"{key}: expected a finite number"):
+        parse_config({section: {key: bad}})
+    cfg = write_config(tmp_path, **{section: {key: bad}})
+    assert ("NaN" if bad != bad else "Infinity") in cfg.read_text()
+    result = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "x")
+    assert result.returncode == 2
+    assert f"{key}: expected a finite number" in result.stderr
+
+
 def test_missing_config_exit_code(tmp_path):
     result = run_cli("train", "--config", tmp_path / "nope.json")
     assert result.returncode == 2

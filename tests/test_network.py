@@ -53,8 +53,12 @@ def test_init_params_equals_sequential_xavier_draws():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_init_params_draws_rows_in_blocks_like_one_draw(dtype):
     # two full row blocks and a ragged one in every weight matrix
-    n = 2 * network._ROWS + 3
-    cfg = NetworkConfig(width=n, depth=1, output_size=4, input_size=n, dtype=dtype)
+    width = 500
+    rows = network._BLOCK // width
+    cfg = NetworkConfig(
+        width=width, depth=1, output_size=width, input_size=2 * rows + 3, dtype=dtype
+    )
+    assert all(2 * rows < fan_in < 3 * rows for fan_in, _ in cfg.layer_sizes())
     params = init_params(cfg, np.random.default_rng(22))
     rng = np.random.default_rng(22)
     for layer, (fi, fo) in zip(params.layers, cfg.layer_sizes()):
@@ -253,7 +257,7 @@ def test_non_finite_activation_in_last_row_block_identifies_layer(mode):
     # block: its normalized pre-activation is about sqrt(rows) in train
     # mode (about |x @ W| in infer mode) while the other rows' stay below 1,
     # so with s = 1e308 only the last block's s * a_hat overflows
-    rows = 3 * network._ROWS + 5
+    rows = 3 * (network._BLOCK // 8) + 5
     cfg = NetworkConfig(width=8, depth=2, output_size=2)
     params = init_params(cfg, np.random.default_rng(20))
     params.layers[0].s[...] = 1e308
@@ -322,8 +326,8 @@ def test_fused_passes_match_unfused_reference(shape, saturate):
 @pytest.mark.parametrize("saturate", [False, True])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_row_blocked_passes_match_unfused_reference(dtype, saturate):
-    # three full row blocks and a ragged one of 5 rows
-    shape = (24, 2, 4, 3 * network._ROWS + 5)
+    # every layer 24 wide: three full row blocks and a ragged one of 5 rows
+    shape = (24, 2, 24, 3 * (network._BLOCK // 24) + 5)
     _check_against_reference(*_shape_case(shape, saturate, dtype=dtype))
 
 

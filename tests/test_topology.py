@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import topology_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dpower import topology
 from d2dpower.errors import ConfigurationError, ShapeError
 from d2dpower.topology import (
+    CellLayout,
     Drop,
     TopologyConfig,
     build_hex_layout,
@@ -14,7 +17,6 @@ from d2dpower.topology import (
     points_in_hexagon,
     sample_batch,
     sample_drop,
-    sample_points_in_hexagon,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -95,7 +97,9 @@ def test_hexagon_distance_bounds(x, y):
 def test_sampled_points_inside_hexagon():
     rng = np.random.default_rng(0)
     center = (100.0, -50.0)
-    pts = sample_points_in_hexagon(center, 300.0, 2000, rng)
+    layout = CellLayout(np.array([center]), 300.0)
+    pts = sample_drop(layout, 2000, 100.0, rng).pairs[:, :2]
+    assert pts.shape == (2000, 2)
     assert points_in_hexagon(pts, center, 300.0).all()
 
 
@@ -211,3 +215,54 @@ def test_sample_batch_equals_sequential_sample_drop():
         singles = [sample_drop(layout, 4, 100.0, rng) for _ in range(bn)]
         assert batch.pairs.shape == (bn, 4 * cells, 4)
         assert np.array_equal(batch.pairs, np.stack([d.pairs for d in singles]))
+
+
+def _short_units(layout, pairs_per_cell, dmax, batch_size, seed):
+    """Per (drop, cell) unit, in stream order, whether its first rejection
+    round accepts fewer than pairs_per_cell candidates."""
+    rng = np.random.default_rng(seed)
+    r = layout.radius
+    apothem = SQRT3 * r / 2.0
+    m = max(8, int(1.6 * pairs_per_cell))
+    short = []
+    for _ in range(batch_size * layout.cell_count):
+        state = rng.bit_generator.state
+        cand = np.column_stack([rng.uniform(-r, r, m), rng.uniform(-apothem, apothem, m)])
+        short.append(int(points_in_hexagon(cand, (0.0, 0.0), r).sum()) < pairs_per_cell)
+        rng.bit_generator.state = state
+        ref.sample_points_in_hexagon((0.0, 0.0), r, pairs_per_cell, rng)
+        rng.uniform(0.0, dmax, pairs_per_cell)
+        rng.uniform(0.0, 2.0 * math.pi, pairs_per_cell)
+    return short
+
+
+def _assert_matches_reference(layout, pairs_per_cell, dmax, batch_size, seed):
+    rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    got = sample_batch(layout, pairs_per_cell, dmax, batch_size, rng)
+    want = ref.sample_batch_pairs(layout, pairs_per_cell, dmax, batch_size, want_rng)
+    assert got.pairs.shape == want.shape
+    assert got.pairs.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pairs_per_cell", [1, 2, 4, 8, 13])
+@pytest.mark.parametrize("cells", [1, 3, 7])
+def test_sample_batch_matches_unit_by_unit_reference(cells, pairs_per_cell):
+    # the windowed draw consumes the generator exactly as the per-drop,
+    # per-cell loop, across window edges and rewinds
+    layout = build_hex_layout(cells, 500.0)
+    w = topology._WINDOW
+    for dmax in (0.0, 100.0):
+        for bn in (1, w - 1, w, w + 1, 512):
+            _assert_matches_reference(layout, pairs_per_cell, dmax, bn, 100 * cells + bn)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_sample_batch_rewinds_at_first_or_last_unit(where):
+    # a batch whose first (or last) unit needs a second rejection round
+    layout = build_hex_layout(1, 500.0)
+    bn = topology._WINDOW
+    seed = {0: 9, -1: 1}[where]
+    assert _short_units(layout, 8, 100.0, bn, seed)[where]
+    _assert_matches_reference(layout, 8, 100.0, bn, seed)
