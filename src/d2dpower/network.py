@@ -12,6 +12,8 @@ independent of the rest so a single device can run its own forward pass.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -66,8 +68,14 @@ class NetworkConfig:
             raise ConfigurationError(f"output_size must be >= 1, got {self.output_size}")
         if self.input_size < 1:
             raise ConfigurationError(f"input_size must be >= 1, got {self.input_size}")
-        if self.bn_epsilon <= 0:
-            raise ConfigurationError(f"bn_epsilon must be positive, got {self.bn_epsilon}")
+        if not (self.bn_epsilon > 0 and math.isfinite(self.bn_epsilon)):
+            raise ConfigurationError(
+                f"bn_epsilon must be positive and finite, got {self.bn_epsilon}"
+            )
+        if not (math.isfinite(self.out_min_dbm) and math.isfinite(self.out_max_dbm)):
+            raise ConfigurationError(
+                f"the output range must be finite, got {self.out_min_dbm} and {self.out_max_dbm}"
+            )
         if not self.out_min_dbm < self.out_max_dbm:
             raise ConfigurationError(
                 f"out_min_dbm must be < out_max_dbm, got {self.out_min_dbm} and {self.out_max_dbm}"
@@ -289,7 +297,8 @@ def forward(
         if idx == n_layers - 1:
             y64 = np.asarray(y, dtype=np.float64)
             y_clipped = np.clip(y64, _CLIP, 1.0 - _CLIP)
-            clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
+            if cache is not None:  # only backward reads the mask
+                clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
             out = y_clipped * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if cache is not None:
             cache.append(_LayerCache(h, a_hat, inv_std, y, clip_mask))
@@ -372,13 +381,53 @@ def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
                 f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointTruncatedError(
-            f"checkpoint ended while reading {what} ({len(data)}/{n} bytes)"
-        )
-    return data
+def _check_length(config: NetworkConfig, size: int) -> None:
+    """Raise unless a file of size bytes holds exactly the arrays that
+    config's header promises; a short file names the array it ends in.
+    The layout is worked out per layer kind, not per layer, so a corrupt
+    depth field costs no more than a valid one."""
+    width, depth = config.width, config.depth
+    first = 8 * (config.input_size + 4) * width
+    hidden = 8 * (width + 4) * width
+    total = _HEADER.size + first + (depth - 1) * hidden + 8 * (width + 4) * config.output_size
+    if size > total:
+        raise CheckpointFormatError("unexpected trailing data after parameters")
+    if size == total:
+        return
+    if size < _HEADER.size + first:
+        idx, offset = 0, _HEADER.size
+    else:
+        idx = min(depth, 1 + (size - _HEADER.size - first) // hidden)
+        offset = _HEADER.size + first + (idx - 1) * hidden
+    fan_in = config.input_size if idx == 0 else width
+    fan_out = config.output_size if idx == depth else width
+    for what, n in (
+        ("weights", fan_in * fan_out),
+        ("scale", fan_out),
+        ("shift", fan_out),
+        ("running mean", fan_out),
+        ("running variance", fan_out),
+    ):
+        if size < offset + 8 * n:
+            raise CheckpointTruncatedError(
+                f"checkpoint ended while reading layer {idx} {what} "
+                f"({size - offset}/{8 * n} bytes)"
+            )
+        offset += 8 * n
+
+
+def _load_layer(f, offset: int, layer: LayerParams):
+    """Copy one layer's W, s and z from a read-only map of f at offset
+    into layer, in its dtype, and return float64 copies of the running
+    mean and variance. The map is released on return: no view of the file
+    outlives the call."""
+    n_w, n = layer.w.size, layer.s.size
+    mapped = np.memmap(f, dtype="<f8", mode="r", offset=offset, shape=(n_w + 4 * n,))
+    w, s, z, mean, var = np.split(mapped, [n_w, n_w + n, n_w + 2 * n, n_w + 3 * n])
+    layer.w[...] = w.reshape(layer.w.shape)
+    layer.s[...] = s
+    layer.z[...] = z
+    return np.array(mean, dtype=np.float64), np.array(var, dtype=np.float64)
 
 
 def load_checkpoint(path, expect_config: NetworkConfig | None = None):
@@ -388,6 +437,14 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
     stored header, and the parameters come back in its dtype (float64
     otherwise). Running-statistics momentum is not persisted and comes
     back at the default.
+
+    The header is validated and the file's length checked against it
+    before anything is allocated. Then each layer is mapped read-only,
+    copied out of the page cache straight into the parameters, and
+    unmapped before the next, so at most one layer of the file is mapped
+    and nothing returned refers to the file. A file rewritten in place
+    while it is mapped can end the reader with SIGBUS: replace a
+    checkpoint by writing a new file and renaming it over the old one.
     """
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)
@@ -402,16 +459,19 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
             raise CheckpointVersionError(
                 f"unsupported checkpoint version {version} (expected {_FORMAT_VERSION})"
             )
-        config = NetworkConfig(
-            width=width,
-            depth=depth,
-            output_size=output_size,
-            input_size=input_size,
-            bn_epsilon=bn_eps,
-            out_min_dbm=out_min,
-            out_max_dbm=out_max,
-            dtype=expect_config.dtype if expect_config is not None else "float64",
-        )
+        try:
+            config = NetworkConfig(
+                width=width,
+                depth=depth,
+                output_size=output_size,
+                input_size=input_size,
+                bn_epsilon=bn_eps,
+                out_min_dbm=out_min,
+                out_max_dbm=out_max,
+                dtype=expect_config.dtype if expect_config is not None else "float64",
+            )
+        except ConfigurationError as e:
+            raise CheckpointFormatError(f"invalid checkpoint header: {e}") from None
         if expect_config is not None:
             expected = (
                 expect_config.width,
@@ -425,17 +485,15 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
                     f"checkpoint layout (width, depth, in, out)={stored} does not "
                     f"match expected {expected}"
                 )
+        _check_length(config, os.fstat(f.fileno()).st_size)
         params = NetworkParams(config)
         means = []
         variances = []
-        for idx, layer in enumerate(params.layers):
-            for what, arr in (("weights", layer.w), ("scale", layer.s), ("shift", layer.z)):
-                data = _read_exact(f, 8 * arr.size, f"layer {idx} {what}")
-                arr[...] = np.frombuffer(data, "<f8").reshape(arr.shape)
-            for what, out in (("running mean", means), ("running variance", variances)):
-                data = _read_exact(f, 8 * layer.s.size, f"layer {idx} {what}")
-                out.append(np.frombuffer(data, "<f8").copy())
-        if f.read(1) != b"":
-            raise CheckpointFormatError("unexpected trailing data after parameters")
+        offset = _HEADER.size
+        for layer in params.layers:
+            mean, var = _load_layer(f, offset, layer)
+            means.append(mean)
+            variances.append(var)
+            offset += 8 * (layer.w.size + 4 * layer.s.size)
     stats = BatchNormStats(means, variances)
     return params, stats

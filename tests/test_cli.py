@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,33 @@ def test_checkpoint_shape_mismatch_exit_code(tmp_path):
     )
     assert result.returncode == 3
     assert "does not match" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [
+        (16, struct.pack("<I", 0)),
+        (16, struct.pack("<I", 2**31 - 1)),
+        (12, struct.pack("<I", 2**31 - 1)),
+        (28, struct.pack("<d", float("nan"))),
+    ],
+    ids=["width-0", "huge-width", "huge-depth", "nan-bn-epsilon"],
+)
+def test_corrupt_checkpoint_header_exit_code(tmp_path, offset, value):
+    from d2dpower.network import init_params, init_stats, save_checkpoint
+
+    cfg = write_config(tmp_path)
+    net = load_config(cfg).network()
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(init_params(net, np.random.default_rng(0)), init_stats(net), ckpt)
+    data = bytearray(ckpt.read_bytes())
+    data[offset : offset + len(value)] = value
+    ckpt.write_bytes(bytes(data))
+    result = run_cli(
+        "eval", "--config", cfg, "--checkpoint", ckpt, "--out-dir", tmp_path / "x",
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("checkpoint error: ")
 
 
 @pytest.mark.parametrize(

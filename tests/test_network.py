@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -115,6 +116,11 @@ def test_network_config_validation():
         NetworkConfig(width=1, depth=0, output_size=1)
     with pytest.raises(ConfigurationError):
         NetworkConfig(width=1, depth=1, output_size=1, out_min_dbm=20.0, out_max_dbm=20.0)
+    for bad in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="bn_epsilon"):
+            NetworkConfig(width=1, depth=1, output_size=1, bn_epsilon=bad)
+    with pytest.raises(ConfigurationError, match="finite"):
+        NetworkConfig(width=1, depth=1, output_size=1, out_min_dbm=float("-inf"))
 
 
 def test_zero_network_emits_midpoint():
@@ -394,6 +400,29 @@ def test_output_range_survives_parameter_scaling(scale):
     assert (out > -150.0).all() and (out < 20.0).all()
 
 
+def _truncation_cases():
+    """(cut length, expected message) pairs for the test checkpoint's
+    layout: inside the header, then the start and the middle of each array
+    of each layer."""
+    header = network._HEADER.size
+    short = "checkpoint shorter than its header"
+    cases = [(0, short), (header - 1, short)]
+    start = header
+    cfg = NetworkConfig(width=8, depth=2, output_size=4)  # TestCheckpoint._make's
+    for idx, (fan_in, fan_out) in enumerate(cfg.layer_sizes()):
+        for what, n in (
+            ("weights", fan_in * fan_out),
+            ("scale", fan_out),
+            ("shift", fan_out),
+            ("running mean", fan_out),
+            ("running variance", fan_out),
+        ):
+            for got in (0, 4 * n):
+                cases.append((start + got, f"layer {idx} {what} ({got}/{8 * n} bytes)"))
+            start += 8 * n
+    return cases
+
+
 class TestCheckpoint:
     def _make(self, tmp_path, cfg=None, seed=15):
         cfg = cfg or NetworkConfig(width=8, depth=2, output_size=4)
@@ -444,6 +473,49 @@ class TestCheckpoint:
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "offset, value, error",
+        [
+            (16, struct.pack("<I", 0), CheckpointFormatError),
+            (12, struct.pack("<I", 0), CheckpointFormatError),
+            (28, struct.pack("<d", float("nan")), CheckpointFormatError),
+            # a length check, before NetworkParams would ask for 2^62 floats
+            (16, struct.pack("<I", 2**31 - 1), CheckpointTruncatedError),
+            (12, struct.pack("<I", 2**31 - 1), CheckpointTruncatedError),
+        ],
+        ids=["width-0", "depth-0", "nan-bn-epsilon", "huge-width", "huge-depth"],
+    )
+    def test_corrupt_header_field(self, tmp_path, offset, value, error):
+        _, _, path = self._make(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(error):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut, message", _truncation_cases())
+    def test_truncated_names_the_array(self, tmp_path, cut, message):
+        _, _, path = self._make(tmp_path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointTruncatedError) as info:
+            load_checkpoint(path)
+        assert str(info.value).endswith(message)
+
+    def test_loaded_arrays_do_not_alias_the_file(self, tmp_path):
+        params, stats, path = self._make(tmp_path)
+        loaded_params, loaded_stats = load_checkpoint(path)
+        probe = np.random.default_rng(17).uniform(-500, 500, (5, 4))
+        before, _ = forward(loaded_params, probe, "infer", loaded_stats)
+        with open(path, "r+b") as f:
+            f.write(b"\xff" * path.stat().st_size)
+        path.unlink()
+        assert np.array_equal(loaded_params.flat, params.flat)
+        for a, b in zip(stats.mean + stats.var, loaded_stats.mean + loaded_stats.var):
+            assert np.array_equal(a, b)
+        after, _ = forward(loaded_params, probe, "infer", loaded_stats)
+        assert np.array_equal(before, after)
+        assert loaded_params.flat.flags.writeable
+
     def test_truncated(self, tmp_path):
         _, _, path = self._make(tmp_path)
         data = path.read_bytes()
@@ -453,9 +525,11 @@ class TestCheckpoint:
 
     def test_trailing_data(self, tmp_path):
         _, _, path = self._make(tmp_path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+        data = path.read_bytes()
+        for extra in (b"\0", b"junk"):
+            path.write_bytes(data + extra)
+            with pytest.raises(CheckpointFormatError, match="trailing"):
+                load_checkpoint(path)
 
     def test_shape_mismatch(self, tmp_path):
         cfg = NetworkConfig(width=64, depth=3, output_size=4)
