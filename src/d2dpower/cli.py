@@ -24,16 +24,6 @@ EXIT_ORACLE = 5
 
 SEED_ENV_VAR = "D2DPOWER_SEED"
 
-_METRICS_COLUMNS = (
-    "iteration",
-    "cost_total",
-    "mean_eta",
-    "ct_p",
-    "ct_if",
-    "pmax_violation_rate",
-    "q_exceed_rate",
-)
-
 
 def _fmt(value) -> str:
     """Full round-trip decimal representation for numeric CSV cells."""
@@ -104,29 +94,14 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     from .network import save_checkpoint
-    from .training import train
+    from .training import MetricsRecord, train
 
     params, stats, metrics = train(cfg.train_config())
-    log_every = cfg.log_every
-    n_epoch = len(metrics)
-    rows = [
-        (
-            rec.iteration,
-            rec.cost_total,
-            rec.mean_eta,
-            rec.ct_p,
-            rec.ct_if,
-            rec.pmax_violation_rate,
-            rec.q_exceed_rate,
-        )
-        for rec in metrics
-        if (rec.iteration - 1) % log_every == 0 or rec.iteration == n_epoch
-    ]
-    _write_csv(out / "metrics.csv", _METRICS_COLUMNS, rows)
+    _write_csv(out / "metrics.csv", MetricsRecord._fields, metrics)
     save_checkpoint(params, stats, out / "checkpoint.bin")
     last = metrics[-1]
     print(
-        f"trained {n_epoch} iterations: cost={last.cost_total:.4f} "
+        f"trained {last.iteration} iterations: cost={last.cost_total:.4f} "
         f"eta={last.mean_eta:.4f} ct_p={last.ct_p:.4f} ct_if={last.ct_if:.4f}"
     )
     print(f"wrote {out / 'metrics.csv'} and {out / 'checkpoint.bin'}")
@@ -228,8 +203,7 @@ def cmd_gradcheck(args) -> int:
         layout, topo.pairs_per_cell, topo.dmax_m,
         cfg.resolved["training"]["batch_size"], rng,
     )
-    n_ch = cfg.network().output_size if channel.per_channel_shadowing else None
-    gains = build_gain_table(drops, channel, rng, n_ch)
+    gains = build_gain_table(drops, channel, rng, cfg.network().output_size)
     # the gate runs in float64 whatever network.dtype says
     params = init_params(replace(cfg.network(), dtype="float64"), rng)
     max_err, n_entries = finite_difference_check(
@@ -262,8 +236,7 @@ def cmd_oracle(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     layout = build_hex_layout(topo.cells, topo.radius_m)
     drop = sample_drop(layout, topo.pairs_per_cell, topo.dmax_m, rng)
-    n_ch = n if channel.per_channel_shadowing else None
-    gains = build_gain_table(drop, channel, rng, n_ch)
+    gains = build_gain_table(drop, channel, rng, n)
 
     levels = np.linspace(-150.0, 20.0, cfg.evaluation["oracle_levels"])
     _, grid_cost = oracle_grid_search(gains, constraints, channel.noise_dbw, levels, n)

@@ -77,36 +77,22 @@ DEFAULTS = {
     },
 }
 
-_BOOL_KEYS = {"shadowing_enabled", "per_channel_shadowing"}
-_INT_KEYS = {
-    "seed",
-    "threads",
-    "cells",
-    "pairs_per_cell",
-    "width",
-    "depth",
-    "n_channels",
-    "n_epoch",
-    "batch_size",
-    "log_every",
-    "n_drops",
-    "oracle_levels",
-    "oracle_direct_iters",
-}
-_STR_KEYS = {"out_dir", "dtype"}
-_NULLABLE_KEYS = {"threads", "enb_l1_db", "enb_l2_db"}
+# The keys whose default is null, with the type a value set for them
+# takes; every other key takes the type of its default.
+_NULLABLE = {"threads": int, "enb_l1_db": float, "enb_l2_db": float}
 
 
-def _check_value(path: str, key: str, value):
+def _check_value(path: str, key: str, default, value):
     if value is None:
-        if key in _NULLABLE_KEYS:
+        if key in _NULLABLE:
             return None
         raise ConfigurationError(f"{path}: null is not allowed")
-    if key in _BOOL_KEYS:
+    kind = _NULLABLE.get(key) or type(default)
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigurationError(f"{path}: expected a boolean, got {value!r}")
         return value
-    if key in _STR_KEYS:
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigurationError(f"{path}: expected a string, got {value!r}")
         return value
@@ -115,7 +101,7 @@ def _check_value(path: str, key: str, value):
     if isinstance(value, float) and not math.isfinite(value):
         # json reads NaN, Infinity and -Infinity as floats
         raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
-    if key in _INT_KEYS:
+    if kind is int:
         if float(value) != int(value):
             raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
         return int(value)
@@ -132,7 +118,7 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
                 raise ConfigurationError(f"{path}: expected an object")
             out[key] = _merge(default, sub, prefix=f"{path}.")
         elif key in user:
-            out[key] = _check_value(path, key, user[key])
+            out[key] = _check_value(path, key, default, user[key])
         else:
             out[key] = copy.deepcopy(default)
     unknown = set(user) - set(defaults)
@@ -158,39 +144,14 @@ class ExperimentConfig:
         return self.resolved["out_dir"]
 
     @property
-    def threads(self):
-        return self.resolved["threads"]
-
-    @property
-    def log_every(self) -> int:
-        return self.resolved["training"]["log_every"]
-
-    @property
     def evaluation(self) -> dict:
         return self.resolved["evaluation"]
 
     def topology(self) -> TopologyConfig:
-        t = self.resolved["topology"]
-        return TopologyConfig(
-            cells=t["cells"],
-            radius_m=t["radius_m"],
-            pairs_per_cell=t["pairs_per_cell"],
-            dmax_m=t["dmax_m"],
-        )
+        return TopologyConfig(**self.resolved["topology"])
 
     def channel(self) -> ChannelParams:
-        c = self.resolved["channel"]
-        return ChannelParams(
-            l1_db=c["l1_db"],
-            l2_db=c["l2_db"],
-            d0_m=c["d0_m"],
-            shadow_sigma_db=c["shadow_sigma_db"],
-            shadowing_enabled=c["shadowing_enabled"],
-            noise_dbw=c["noise_dbw"],
-            enb_l1_db=c["enb_l1_db"],
-            enb_l2_db=c["enb_l2_db"],
-            per_channel_shadowing=c["per_channel_shadowing"],
-        )
+        return ChannelParams(**self.resolved["channel"])
 
     def network(self) -> NetworkConfig:
         n = self.resolved["network"]
@@ -205,29 +166,17 @@ class ExperimentConfig:
         )
 
     def constraints(self) -> ConstraintConfig:
-        c = self.resolved["constraints"]
-        return ConstraintConfig(
-            p_max_w=c["p_max_w"],
-            q_max_dbw=c["q_max_dbw"],
-            c_p=c["c_p"],
-            c_if=c["c_if"],
-        )
+        return ConstraintConfig(**self.resolved["constraints"])
 
     def train_config(self) -> TrainConfig:
-        t = self.resolved["training"]
         return TrainConfig(
             network=self.network(),
             constraints=self.constraints(),
             channel=self.channel(),
             topology=self.topology(),
-            n_epoch=t["n_epoch"],
-            batch_size=t["batch_size"],
-            lr=t["lr"],
-            beta1=t["beta1"],
-            beta2=t["beta2"],
-            adam_epsilon=t["adam_epsilon"],
             bn_momentum=self.resolved["network"]["bn_momentum"],
             seed=self.seed,
+            **self.resolved["training"],
         )
 
     def with_overrides(self, seed=None, out_dir=None, threads=None) -> "ExperimentConfig":
@@ -238,17 +187,13 @@ class ExperimentConfig:
             resolved["out_dir"] = str(out_dir)
         if threads is not None:
             resolved["threads"] = int(threads)
-        return ExperimentConfig(resolved)
+        cfg = ExperimentConfig(resolved)
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         """Construct every typed sub-config so invalid values fail here."""
         self.train_config()  # and with it the topology, channel, network and constraints
-        t = self.resolved["training"]
-        if t["log_every"] < 1:
-            raise ConfigurationError("training.log_every must be >= 1")
-        mom = self.resolved["network"]["bn_momentum"]
-        if not 0.0 < mom < 1.0:
-            raise ConfigurationError("network.bn_momentum must be in (0, 1)")
         e = self.evaluation
         if e["n_drops"] < 1:
             raise ConfigurationError("evaluation.n_drops must be >= 1")

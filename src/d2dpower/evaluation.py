@@ -85,7 +85,6 @@ def evaluate(
     if n_drops < 1:
         raise ValueError(f"n_drops must be >= 1, got {n_drops}")
     n = params.config.output_size
-    n_ch = n if channel.per_channel_shadowing else None
     k = pairs_per_cell * layout.cell_count
     etas = []
     power_sums = 0.0
@@ -97,7 +96,7 @@ def evaluate(
     while done < n_drops:
         m = min(_EVAL_CHUNK, n_drops - done)
         drops = sample_batch(layout, pairs_per_cell, dmax, m, rng)
-        gains = build_gain_table(drops, channel, rng, n_ch)
+        gains = build_gain_table(drops, channel, rng, n)
         p_flat, _ = forward(params, flatten_batch(drops), "infer", stats)
         comp = stacked_cost(
             p_flat.reshape(m, k, n), gains.g_d2d_db, gains.g_enb_db, constraints,

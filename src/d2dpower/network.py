@@ -16,6 +16,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -242,16 +243,14 @@ def forward(
     x: np.ndarray,
     mode: str = "train",
     stats: BatchNormStats | None = None,
-    update_stats: bool = True,
 ):
     """Map coordinate rows [B, input_size] to powers [B, output_size] dBm.
 
     Returns (p_dbm, cache); the cache holds the intermediates backward()
     needs and is only built in train mode (None in infer mode). Train
     mode requires B >= 2 (per-feature variance over the batch) and, when
-    stats is given and update_stats is True, refreshes the running
-    statistics in place. The layers compute in config.dtype; p_dbm is
-    float64.
+    stats is given, refreshes the running statistics in place. The
+    layers compute in config.dtype; p_dbm is float64.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -283,7 +282,7 @@ def forward(
             a -= mu
             # the mean of the squared deviations: a.var(axis=0), bit for bit
             var = np.square(a, out=scratch).mean(axis=0)
-            if stats is not None and update_stats:
+            if stats is not None:
                 m = stats.momentum
                 stats.mean[idx] = m * stats.mean[idx] + (1.0 - m) * mu
                 stats.var[idx] = m * stats.var[idx] + (1.0 - m) * var
@@ -360,6 +359,10 @@ def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
     input_size, output_size, bn_epsilon, out range), then per layer the
     arrays W, S, Z, running mean, running variance as little-endian
     float64, row-major, whatever the compute dtype.
+
+    The bytes go to a temporary file next to path, which is flushed to
+    disk and then renamed over path: a reader that maps the old file
+    keeps it whole, and a failed write leaves the old file as it was.
     """
     cfg = params.config
     header = _HEADER.pack(
@@ -373,12 +376,21 @@ def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
         cfg.out_min_dbm,
         cfg.out_max_dbm,
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        for idx, layer in enumerate(params.layers):
-            for arr in (layer.w, layer.s, layer.z, stats.mean[idx], stats.var[idx]):
-                # through the buffer protocol: a float64 array is written without a copy
-                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header)
+            for idx, layer in enumerate(params.layers):
+                for arr in (layer.w, layer.s, layer.z, stats.mean[idx], stats.var[idx]):
+                    # through the buffer protocol: a float64 array is written without a copy
+                    f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_length(config: NetworkConfig, size: int) -> None:
@@ -443,8 +455,8 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
     copied out of the page cache straight into the parameters, and
     unmapped before the next, so at most one layer of the file is mapped
     and nothing returned refers to the file. A file rewritten in place
-    while it is mapped can end the reader with SIGBUS: replace a
-    checkpoint by writing a new file and renaming it over the old one.
+    while it is mapped can end the reader with SIGBUS; save_checkpoint
+    never does that, it renames a new file over the old one.
     """
     with open(path, "rb") as f:
         raw = f.read(_HEADER.size)

@@ -10,8 +10,8 @@ configuration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,10 +62,15 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
     bn_momentum: float = 0.99
     seed: int = 0
+    log_every: int = 1
 
     def __post_init__(self):
         if self.n_epoch < 1:
             raise ConfigurationError(f"n_epoch must be >= 1, got {self.n_epoch}")
+        if self.log_every < 1:
+            raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
             raise ConfigurationError(
                 f"batch_size must be >= 2 for batch statistics, got {self.batch_size}"
@@ -77,11 +82,13 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.adam_epsilon <= 0:
             raise ConfigurationError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
+        if not 0.0 < self.bn_momentum < 1.0:
+            raise ConfigurationError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One training iteration's summary (rates are over the train batch)."""
+class MetricsRecord(NamedTuple):
+    """One logged training iteration's summary, a metrics.csv row in
+    column order (rates are over the train batch)."""
 
     iteration: int
     cost_total: float
@@ -90,7 +97,6 @@ class MetricsRecord:
     ct_if: float
     pmax_violation_rate: float
     q_exceed_rate: float
-    wall_ms: float
 
 
 def init_adam(
@@ -155,7 +161,6 @@ def cost_and_grad(
     gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
-    update_stats: bool = True,
     want_grad: bool = True,
 ):
     """Mean train-mode batch cost and, if want_grad, its exact gradient
@@ -167,7 +172,7 @@ def cost_and_grad(
     NumericError naming the first layer that holds one.
     """
     x = flatten_batch(drops)
-    p_flat, cache = forward(params, x, "train", stats, update_stats=update_stats)
+    p_flat, cache = forward(params, x, "train", stats)
     bn, k = drops.pairs.shape[:2]
     n = params.config.output_size
     comp = stacked_cost(
@@ -205,16 +210,13 @@ def finite_difference_check(
     float32.
     """
     params = NetworkParams(replace(params.config, dtype="float64"), params.flat)
-    _, grads, _ = cost_and_grad(
-        params, None, drops, gains, constraints, noise_dbw, update_stats=False
-    )
+    _, grads, _ = cost_and_grad(params, None, drops, gains, constraints, noise_dbw)
     probe = NetworkParams(params.config, params.flat.copy())
     flat = probe.flat
 
     def cost():
         return cost_and_grad(
-            probe, None, drops, gains, constraints, noise_dbw,
-            update_stats=False, want_grad=False,
+            probe, None, drops, gains, constraints, noise_dbw, want_grad=False
         )[0]
 
     max_err = 0.0
@@ -236,8 +238,9 @@ def finite_difference_check(
 def train(cfg: TrainConfig):
     """Run the full training loop.
 
-    Returns (params, stats, metrics) where metrics has one record per
-    iteration. A non-finite cost aborts with NumericDivergenceError
+    Returns (params, stats, metrics) where metrics holds one MetricsRecord
+    per logged iteration: the first, every cfg.log_every-th after it, and
+    the last. A non-finite cost aborts with NumericDivergenceError
     carrying the iteration index.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -245,19 +248,16 @@ def train(cfg: TrainConfig):
     params = init_params(cfg.network, rng)
     stats = init_stats(cfg.network, momentum=cfg.bn_momentum)
     adam = init_adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-    n_channels = (
-        cfg.network.output_size if cfg.channel.per_channel_shadowing else None
-    )
+    n = cfg.network.output_size
     k_total = cfg.topology.pairs_per_cell * cfg.topology.cells
     p_max = cfg.constraints.p_max_w
     q_w = cfg.constraints.q_max_w
     metrics: list[MetricsRecord] = []
     for iteration in range(1, cfg.n_epoch + 1):
-        t0 = time.perf_counter()
         drops = sample_batch(
             layout, cfg.topology.pairs_per_cell, cfg.topology.dmax_m, cfg.batch_size, rng
         )
-        gains = build_gain_table(drops, cfg.channel, rng, n_channels)
+        gains = build_gain_table(drops, cfg.channel, rng, n)
         try:
             cost, grads, comp = cost_and_grad(
                 params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw
@@ -269,17 +269,16 @@ def train(cfg: TrainConfig):
         if not np.isfinite(cost):
             raise NumericDivergenceError(iteration)
         params, adam = adam_step(adam, params, grads)
-        metrics.append(
-            MetricsRecord(
-                iteration=iteration,
-                cost_total=cost,
-                mean_eta=float(comp.sum_throughput.mean())
-                / (k_total * cfg.network.output_size),
-                ct_p=float(comp.ct_p.mean()),
-                ct_if=float(comp.ct_if.mean()),
-                pmax_violation_rate=float((comp.total_power_w > p_max).mean()),
-                q_exceed_rate=float((comp.enb_interference_w > q_w).mean()),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
+        if (iteration - 1) % cfg.log_every == 0 or iteration == cfg.n_epoch:
+            metrics.append(
+                MetricsRecord(
+                    iteration=iteration,
+                    cost_total=cost,
+                    mean_eta=float(comp.sum_throughput.mean()) / (k_total * n),
+                    ct_p=float(comp.ct_p.mean()),
+                    ct_if=float(comp.ct_if.mean()),
+                    pmax_violation_rate=float((comp.total_power_w > p_max).mean()),
+                    q_exceed_rate=float((comp.enb_interference_w > q_w).mean()),
+                )
             )
-        )
     return params, stats, metrics

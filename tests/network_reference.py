@@ -29,7 +29,7 @@ def masked_sigmoid(x):
     return out
 
 
-def forward(params, x, mode="train", stats=None, update_stats=True):
+def forward(params, x, mode="train", stats=None):
     """Return (p_dbm, cache), cache a list of per-layer dicts with the keys
     x_in, a_hat, inv_std, y, clip_mask (train mode only)."""
     cfg = params.config
@@ -43,7 +43,7 @@ def forward(params, x, mode="train", stats=None, update_stats=True):
         if mode == "train":
             mu = a.mean(axis=0)
             var = a.var(axis=0)
-            if stats is not None and update_stats:
+            if stats is not None:
                 m = stats.momentum
                 stats.mean[idx] = m * stats.mean[idx] + (1.0 - m) * mu
                 stats.var[idx] = m * stats.var[idx] + (1.0 - m) * var

@@ -159,8 +159,7 @@ def test_criterion_3_tiny_instance_optimality():
         _, grads, _ = cost_and_grad(params, stats, batch, twice, cons, NO_SHADOW.noise_dbw)
         params, adam = adam_step(adam, params, grads)
     final_cost, _, _ = cost_and_grad(
-        params, stats, batch, twice, cons, NO_SHADOW.noise_dbw,
-        update_stats=False, want_grad=False,
+        params, None, batch, twice, cons, NO_SHADOW.noise_dbw, want_grad=False
     )
     gap = abs(final_cost - grid_cost) / abs(grid_cost)
     elapsed = time.perf_counter() - t0

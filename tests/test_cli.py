@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2dpower.config import load_config, parse_config
+from d2dpower import config
+from d2dpower.config import DEFAULTS, dump_config, load_config, parse_config
 from d2dpower.errors import ConfigurationError
 
 BASE_CONFIG = {
@@ -242,6 +243,56 @@ def test_non_finite_number_rejected(tmp_path, section, key, bad):
     result = run_cli("train", "--config", cfg, "--out-dir", tmp_path / "x")
     assert result.returncode == 2
     assert f"{key}: expected a finite number" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "section, key, value, expect",
+    [
+        ("training", "n_epoch", 1.5, "expected an integer"),
+        ("topology", "radius_m", 500, 500.0),
+        ("channel", "shadowing_enabled", 1, "expected a boolean"),
+        ("network", "dtype", 3, "expected a string"),
+        ("channel", "enb_l1_db", None, None),
+        (None, "threads", None, None),
+        ("topology", "dmax_m", None, "null is not allowed"),
+    ],
+    ids=["int", "float", "bool", "str", "nullable-float", "nullable-int", "not-nullable"],
+)
+def test_key_type_is_the_default_type(tmp_path, section, key, value, expect):
+    data = {section: {key: value}} if section else {key: value}
+    if isinstance(expect, str):
+        with pytest.raises(ConfigurationError, match=f"{key}: {expect}"):
+            parse_config(data)
+        return
+    dump_config(parse_config(data), tmp_path / "config_resolved.json")
+    echoed = json.loads((tmp_path / "config_resolved.json").read_text())
+    got = echoed[section][key] if section else echoed[key]
+    assert got == expect and type(got) is type(expect)
+
+
+def test_every_null_default_is_nullable():
+    def null_keys(tree):
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                yield from null_keys(value)
+            elif value is None:
+                yield key
+
+    assert sorted(null_keys(DEFAULTS)) == sorted(config._NULLABLE)
+
+
+@pytest.mark.parametrize("source", ["config", "flag", "env"])
+def test_negative_seed_rejected(tmp_path, source):
+    # numpy's generator used to raise a ValueError after the output
+    # directory and its config_resolved.json were written
+    cfg = write_config(tmp_path, **({"seed": -3} if source == "config" else {}))
+    out = tmp_path / "x"
+    flag = ("--seed", -1) if source == "flag" else ()
+    env = {"D2DPOWER_SEED": "-2"} if source == "env" else None
+    result = run_cli("train", "--config", cfg, "--out-dir", out, *flag, env_extra=env)
+    assert result.returncode == 2
+    assert "seed" in result.stderr
+    assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path):

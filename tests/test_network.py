@@ -203,10 +203,10 @@ def test_running_stats_update_only_when_asked():
     stats = init_stats(cfg)
     before = stats.copy()
     x = rng.uniform(-500, 500, (16, 4))
-    forward(params, x, "train", stats, update_stats=False)
+    forward(params, x, "train", None)
     for a, b in zip(before.mean, stats.mean):
         assert np.array_equal(a, b)
-    forward(params, x, "train", stats, update_stats=True)
+    forward(params, x, "train", stats)
     assert any(not np.array_equal(a, b) for a, b in zip(before.mean, stats.mean))
 
 
@@ -338,11 +338,11 @@ def test_row_blocked_passes_match_unfused_reference(dtype, saturate):
 
 
 def _check_against_reference(cfg, params, x, d_out):
-    for update_stats in (True, False):
+    for with_stats in (True, False):
         stats, ref_stats = init_stats(cfg), init_stats(cfg)
         for _ in range(2):  # the second pass starts from refreshed statistics
-            out, cache = forward(params, x, "train", stats, update_stats=update_stats)
-            ref_out, ref_cache = ref.forward(params, x, "train", ref_stats, update_stats)
+            out, cache = forward(params, x, "train", stats if with_stats else None)
+            ref_out, ref_cache = ref.forward(params, x, "train", ref_stats if with_stats else None)
             assert np.array_equal(out, ref_out)
             for got, want in zip(cache, ref_cache):
                 for name, arr in want.items():
@@ -363,7 +363,7 @@ def test_passes_leave_their_inputs_unchanged():
     forward(params, x, "train", stats)  # non-trivial running statistics
     x_before, flat_before, stats_before = x.copy(), params.flat.copy(), stats.copy()
     forward(params, x, "infer", stats)
-    _, cache = forward(params, x, "train", stats, update_stats=False)
+    _, cache = forward(params, x, "train", None)
     assert np.array_equal(x, x_before)
     assert np.array_equal(params.flat, flat_before)
     for got, want in zip(stats.mean + stats.var, stats_before.mean + stats_before.var):
@@ -456,6 +456,23 @@ class TestCheckpoint:
         out_a, _ = forward(params, probe, "infer", stats)
         out_b, _ = forward(loaded_params, probe, "infer", loaded_stats)
         assert np.array_equal(out_a, out_b)
+
+    def test_save_renames_a_new_file_over_the_old(self, tmp_path):
+        params, stats, path = self._make(tmp_path)
+        before, old = path.stat().st_ino, path.read_bytes()
+        save_checkpoint(params, stats, path)
+        assert path.stat().st_ino != before
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        params, stats, path = self._make(tmp_path)
+        old = path.read_bytes()
+        short = BatchNormStats(stats.mean[:1], stats.var[:1])  # fails after layer 0
+        with pytest.raises(IndexError):
+            save_checkpoint(params, short, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_corrupt_magic(self, tmp_path):
         _, _, path = self._make(tmp_path)

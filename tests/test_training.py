@@ -259,12 +259,24 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": 1.5}, {"adam_epsilon": 0.0}],
-    ids=["beta1_one", "beta1_negative", "beta2_one", "beta2_above_one", "adam_epsilon_zero"],
+    [
+        {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": 1.5}, {"adam_epsilon": 0.0},
+        {"log_every": 0}, {"bn_momentum": 1.0}, {"seed": -1},
+    ],
+    ids=[
+        "beta1_one", "beta1_negative", "beta2_one", "beta2_above_one", "adam_epsilon_zero",
+        "log_every_zero", "bn_momentum_one", "seed_negative",
+    ],
 )
 def test_train_config_rejects_invalid_adam_hyperparameters(bad):
     with pytest.raises(ConfigurationError, match=next(iter(bad))):
         _tiny_train_config(**bad)
+
+
+def test_train_records_only_logged_iterations():
+    _, _, metrics = train(_tiny_train_config(n_epoch=10, log_every=4))
+    # the first, every 4th after it, and the last
+    assert [m.iteration for m in metrics] == [1, 5, 9, 10]
 
 
 def test_running_stats_move_during_training():
