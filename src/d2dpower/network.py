@@ -126,26 +126,39 @@ class NetworkParams:
         layers = []
         off = 0
         for fan_in, fan_out in sizes:
-            n_w = fan_in * fan_out
-            w, s, z = np.split(flat[off : off + n_w + 2 * fan_out], [n_w, n_w + fan_out])
-            layers.append(LayerParams(w.reshape(fan_in, fan_out), s, z))
-            off += n_w + 2 * fan_out
+            w, s, z = off, off + fan_in * fan_out, off + (fan_in + 1) * fan_out
+            off = z + fan_out
+            layers.append(LayerParams(flat[w:s].reshape(fan_in, fan_out), flat[s:z], flat[z:off]))
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "layers", tuple(layers))
 
 
 @dataclass
 class BatchNormStats:
-    """Exponential running mean/variance per layer, for infer mode."""
+    """Exponential running mean/variance per layer, for infer mode. The
+    arrays are read-only (a train-mode forward replaces them), so a
+    constant derived from one stays valid while that array is in place."""
 
     mean: list[np.ndarray]
     var: list[np.ndarray]
     momentum: float = 0.99
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in self.mean + self.var:
+            a.flags.writeable = False
 
     def copy(self) -> "BatchNormStats":
         return BatchNormStats(
             [m.copy() for m in self.mean], [v.copy() for v in self.var], self.momentum
         )
+
+    def inv_std(self, idx: int, eps: float) -> np.ndarray:
+        """Layer idx's 1 / sqrt(var + eps), computed once per variance array."""
+        var, hit = self.var[idx], self._derived.get(idx)
+        if hit is None or hit[0] is not var or hit[1] != eps:
+            hit = self._derived[idx] = (var, eps, 1.0 / np.sqrt(var + eps))
+        return hit[2]
 
 
 def xavier_init(fan_in: int, fan_out: int, rng, out: np.ndarray | None = None) -> np.ndarray:
@@ -185,6 +198,18 @@ def init_stats(config: NetworkConfig, momentum: float = 0.99) -> BatchNormStats:
     )
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() without a reduction's dispatch cost."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _mean0(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=0) bit for bit without its Python wrapper: the column
+    sums divided by the row count in float64, as numpy does for float32 too."""
+    s = np.add.reduce(a, 0)
+    return np.divide(s, np.intp(len(a)), out=s, casting="unsafe")
+
+
 def _sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of h, into out (a new array by default); h's
     buffer is overwritten.
@@ -193,14 +218,15 @@ def _sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     elsewhere: the two overflow-free branches of the textbook masked form,
     evaluated over the whole array without boolean indexing, so every bit
     matches that form. Since 0 <= e <= 1, max(e, h >= 0) is the numerator:
-    exactly 1 where h >= 0 and e elsewhere.
+    exactly 1 where h >= 0 and e elsewhere; it is built in out.
     """
-    pos = h >= 0
+    out = np.empty_like(h) if out is None else out
+    np.greater_equal(h, 0.0, out=out)
     e = np.copysign(h, -1.0, out=h)
     np.exp(e, out=e)
-    out = np.add(e, 1.0, out=out)
-    np.maximum(e, pos, out=e)
-    return np.divide(e, out, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def _row_blocks(*arrays):
@@ -212,21 +238,6 @@ def _row_blocks(*arrays):
     n, width = arrays[0].shape
     rows = max(1, _BLOCK // width)
     return (tuple(a[i : i + rows] for a in arrays) for i in range(0, n, rows))
-
-
-def _normalize_activate(a, inv_std, layer, scratch, idx):
-    """Scale the centered pre-activations a by inv_std in place, making
-    them a_hat, and return sigmoid(s * a_hat + z), one row block at a time
-    while it is in cache; scratch holds hpre, then exp(-|hpre|)."""
-    y = np.empty_like(a)
-    for a_b, hpre, y_b in _row_blocks(a, scratch, y):
-        a_b *= inv_std
-        np.multiply(layer.s, a_b, out=hpre)
-        hpre += layer.z
-        if not np.isfinite(hpre).all():
-            raise NumericError(f"non-finite activation in layer {idx}", layer=idx)
-        _sigmoid(hpre, out=y_b)
-    return y
 
 
 @dataclass
@@ -249,7 +260,8 @@ def forward(
     Returns (p_dbm, cache); the cache holds the intermediates backward()
     needs and is only built in train mode (None in infer mode). Train
     mode requires B >= 2 (per-feature variance over the batch) and, when
-    stats is given, refreshes the running statistics in place. The
+    stats is given, refreshes the running statistics once every layer
+    has passed its checks: a NumericError leaves them as they were. The
     layers compute in config.dtype; p_dbm is float64.
     """
     if mode not in ("train", "infer"):
@@ -258,50 +270,63 @@ def forward(
     x = np.asarray(x, dtype=cfg.dtype)
     if x.ndim != 2 or x.shape[1] != cfg.input_size:
         raise ShapeError(f"expected input [B, {cfg.input_size}], got {x.shape}")
-    if mode == "train" and x.shape[0] < 2:
+    train = mode == "train"
+    if train and x.shape[0] < 2:
         raise ShapeError("train mode needs at least 2 rows for batch statistics")
-    if mode == "infer" and stats is None:
+    if not train and stats is None:
         raise ValueError("infer mode requires running statistics")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise NumericError("non-finite network input")
 
-    cache = [] if mode == "train" else None
-    n_layers = len(params.layers)
+    cache = [] if train else None
+    moments = []
+    last = len(params.layers) - 1
     h = x
-    out = None
     scratch = None
     for idx, layer in enumerate(params.layers):
         a = h @ layer.w
-        if not np.isfinite(a).all():
+        if not _all_finite(a):
             raise NumericError(f"non-finite pre-activation in layer {idx}", layer=idx)
         if scratch is None or scratch.shape != a.shape:
             scratch = np.empty_like(a)
-        # a becomes a_hat in place; scratch holds a*a, then hpre, then exp(-|hpre|)
-        if mode == "train":
-            mu = a.mean(axis=0)
-            a -= mu
-            # the mean of the squared deviations: a.var(axis=0), bit for bit
-            var = np.square(a, out=scratch).mean(axis=0)
-            if stats is not None:
-                m = stats.momentum
-                stats.mean[idx] = m * stats.mean[idx] + (1.0 - m) * mu
-                stats.var[idx] = m * stats.var[idx] + (1.0 - m) * var
+        # a becomes a_hat in place; scratch holds a*a, then hpre, then exp(-|hpre|);
+        # elementwise steps run per row block, reductions on whole arrays
+        if train:
+            mu = _mean0(a)
+            for a_b, s_b in _row_blocks(a, scratch):
+                a_b -= mu
+                np.square(a_b, out=s_b)
+            var = _mean0(scratch)  # a.var(axis=0), bit for bit
+            moments.append((mu, var))
+            inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
         else:
             a -= stats.mean[idx]
-            var = stats.var[idx]
-        inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-        a_hat = a
-        y = _normalize_activate(a_hat, inv_std, layer, scratch, idx)
+            inv_std = stats.inv_std(idx, cfg.bn_epsilon)
+        y = np.empty_like(a)
+        for a_b, s_b, y_b in _row_blocks(a, scratch, y):
+            a_b *= inv_std
+            np.multiply(layer.s, a_b, out=s_b)  # hpre
+            s_b += layer.z
+            if not _all_finite(s_b):
+                raise NumericError(f"non-finite activation in layer {idx}", layer=idx)
+            _sigmoid(s_b, out=y_b)
+        del a_b, s_b, y_b  # block views would keep this a and scratch alive past the next y
         clip_mask = None
-        if idx == n_layers - 1:
+        if idx == last:
             y64 = np.asarray(y, dtype=np.float64)
-            y_clipped = np.clip(y64, _CLIP, 1.0 - _CLIP)
-            if cache is not None:  # only backward reads the mask
+            out = np.minimum(np.maximum(y64, _CLIP), 1.0 - _CLIP)  # np.clip, unwrapped
+            if train:  # only backward reads the mask
                 clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
-            out = y_clipped * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
-        if cache is not None:
-            cache.append(_LayerCache(h, a_hat, inv_std, y, clip_mask))
+            out = out * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
+        if train:
+            cache.append(_LayerCache(h, a, inv_std, y, clip_mask))
         h = y
+    if train and stats is not None:  # every layer passed its checks
+        m = stats.momentum
+        for idx, (mu, var) in enumerate(moments):
+            for running, batch in ((stats.mean, mu), (stats.var, var)):
+                running[idx] = m * running[idx] + (1.0 - m) * batch
+                running[idx].flags.writeable = False
     return out, cache
 
 
@@ -335,13 +360,13 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
             d_b *= y_b
             d_b *= np.subtract(1.0, y_b, out=s_b)  # d_h = (d_y * y) * (1 - y)
             np.multiply(d_b, a_b, out=s_b)
-        g.s[...] = scratch.sum(axis=0)
-        g.z[...] = d_y.sum(axis=0)
+        np.add.reduce(scratch, 0, out=g.s)
+        np.add.reduce(d_y, 0, out=g.z)
         for d_b, a_b, s_b in _row_blocks(d_y, c.a_hat, scratch):
             d_b *= layer.s  # d_ahat
             np.multiply(d_b, a_b, out=s_b)
-        m2 = scratch.mean(axis=0)
-        d_mean = d_y.mean(axis=0)
+        m2 = _mean0(scratch)
+        d_mean = _mean0(d_y)
         for d_b, a_b, s_b in _row_blocks(d_y, c.a_hat, scratch):
             d_b -= d_mean
             d_b -= np.multiply(a_b, m2, out=s_b)

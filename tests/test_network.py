@@ -234,10 +234,34 @@ def test_non_finite_weights_identify_layer_in_infer_mode():
     params = init_params(cfg, np.random.default_rng(12))
     broken = NetworkParams(cfg, params.flat.copy())
     broken.layers[1].w[0, 0] = np.nan
-    x = np.random.default_rng(13).uniform(-1, 1, (4, 4))
-    with pytest.raises(NumericError) as err:
-        forward(broken, x, "infer", init_stats(cfg))
-    assert err.value.layer == 1
+    for rows in (4, 1):  # a batch, and a device's single row
+        x = np.random.default_rng(13).uniform(-1, 1, (rows, 4))
+        with pytest.raises(NumericError) as err:
+            forward(broken, x, "infer", init_stats(cfg))
+        assert err.value.layer == 1
+        assert str(err.value) == "non-finite pre-activation in layer 1"
+
+
+@pytest.mark.parametrize("failure", ["pre-activation", "activation"])
+def test_numeric_error_leaves_running_stats_unchanged(failure):
+    # layer 0 passes both checks and its batch moments are known before
+    # layer 1 fails; the running statistics must not move for any layer
+    cfg = NetworkConfig(width=4, depth=2, output_size=1)
+    rng = np.random.default_rng(12)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    x = rng.uniform(-500, 500, (8, 4))
+    forward(params, x, "train", stats)  # non-trivial running statistics
+    if failure == "pre-activation":
+        params.layers[1].w[0, 0] = np.nan
+    else:
+        params.layers[1].s[...] = 1e308
+    before = stats.copy()
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        forward(params, x, "train", stats)
+    assert str(err.value) == f"non-finite {failure} in layer 1"
+    for got, want in zip(stats.mean + stats.var, before.mean + before.var):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -355,6 +379,55 @@ def _check_against_reference(cfg, params, x, d_out):
         ref_out, _ = ref.forward(params, x, "infer", ref_stats)
         assert cache is None
         assert np.array_equal(out, ref_out)
+
+
+# (width, depth, outputs, dtype): the desk net and a full-scale-width one
+_DEVICE_NETS = {"desk": (64, 3, 4, "float64"), "wide_float32": (1500, 2, 8, "float32")}
+
+
+@pytest.mark.parametrize("source", ["train", "checkpoint"])
+@pytest.mark.parametrize("net", sorted(_DEVICE_NETS))
+def test_single_row_decisions_match_reference(net, source, tmp_path):
+    width, depth, outputs, dtype = _DEVICE_NETS[net]
+    cfg = NetworkConfig(width=width, depth=depth, output_size=outputs, dtype=dtype)
+    rng = np.random.default_rng(23)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    for _ in range(2):
+        forward(params, rng.uniform(-1000, 1000, (64, 4)), "train", stats)
+    if source == "checkpoint":
+        save_checkpoint(params, stats, tmp_path / "net.bin")
+        params, stats = load_checkpoint(tmp_path / "net.bin", cfg)
+    rows = rng.uniform(-1000, 1000, (16, 4))
+
+    def decide():
+        out = [forward(params, rows[i : i + 1], "infer", stats)[0] for i in range(len(rows))]
+        for i, got in enumerate(out):
+            want, _ = ref.forward(params, rows[i : i + 1], "infer", stats)
+            assert np.array_equal(_bits(got), _bits(want)), i
+        return np.concatenate(out)
+
+    first = decide()
+    assert np.array_equal(decide(), first)  # the same from the derived constants
+    # a train-mode forward refreshes the statistics; later decisions see it
+    forward(params, rng.uniform(-1000, 1000, (64, 4)), "train", stats)
+    assert not np.array_equal(decide(), first)
+
+
+def test_running_stats_are_read_only(tmp_path):
+    cfg = NetworkConfig(width=8, depth=2, output_size=4)
+    params = init_params(cfg, np.random.default_rng(24))
+    created = init_stats(cfg)
+    refreshed = init_stats(cfg)
+    forward(params, np.random.default_rng(25).uniform(-500, 500, (16, 4)), "train", refreshed)
+    save_checkpoint(params, refreshed, tmp_path / "net.bin")
+    _, loaded = load_checkpoint(tmp_path / "net.bin")
+    for stats in (created, refreshed, loaded, refreshed.copy()):
+        for a in stats.mean + stats.var:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
 
 
 def test_passes_leave_their_inputs_unchanged():
