@@ -6,9 +6,9 @@ Target: held-out spectral efficiency around 3.3 bits/s/Hz. On CPU this
 is a very long run: every iteration pushes 2800 rows through eight
 1500-wide layers, forward and backward. The config computes in float32
 (network.dtype, the precision of the paper's TensorFlow model), which
-measured 3.6-4.0 s per iteration on a 2-core x86 server with one BLAS
+measured 3.6-3.8 s per iteration on a shared 2-core x86 VM with one BLAS
 thread (about 8.3 s in float64, measured before the row-blocked
-elementwise passes), i.e. about 4.5 days for the full 100k iterations.
+elementwise passes), i.e. about 4.3 days for the full 100k iterations.
 Checkpoints stay float64 on disk. Use --iters to down-scale for a smoke
 run.
 
