@@ -112,8 +112,6 @@ def _load_checkpoint_or_raise(path, expect_config):
     from .errors import CheckpointError
     from .network import load_checkpoint
 
-    if path is None:
-        raise CheckpointError("a checkpoint path is required (--checkpoint)")
     if not Path(path).is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
     return load_checkpoint(path, expect_config)
@@ -124,7 +122,7 @@ def cmd_eval(args) -> int:
     out = _prepare_out(cfg)
     import numpy as np
 
-    from .evaluation import evaluate
+    from .evaluation import EvalReport, evaluate
     from .topology import build_hex_layout
 
     params, stats = _load_checkpoint_or_raise(args.checkpoint, cfg.network())
@@ -141,24 +139,11 @@ def cmd_eval(args) -> int:
         cfg.evaluation["n_drops"],
         np.random.default_rng(cfg.seed),
     )
-    fields = (
-        ("mean_eta", report.mean_eta),
-        ("eta_std", report.eta_std),
-        ("mean_total_power_per_tx_w", report.mean_total_power_per_tx_w),
-        ("pmax_violation_rate", report.pmax_violation_rate),
-        ("q_exceed_rate", report.q_exceed_rate),
-        ("n_drops", report.n_drops),
-    )
+    lines = [f"{name} = {_fmt(value)}\n" for name, value in zip(EvalReport._fields, report)]
     with open(out / "eval_report.txt", "w", encoding="utf-8", newline="\n") as f:
-        for name, value in fields:
-            f.write(f"{name} = {_fmt(value)}\n")
-    _write_csv(
-        out / "eval_report.csv",
-        [name for name, _ in fields],
-        [tuple(value for _, value in fields)],
-    )
-    for name, value in fields:
-        print(f"{name} = {_fmt(value)}")
+        f.writelines(lines)
+    _write_csv(out / "eval_report.csv", EvalReport._fields, [report])
+    print("".join(lines), end="")
     return EXIT_OK
 
 

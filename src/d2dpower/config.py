@@ -102,7 +102,7 @@ def _check_value(path: str, key: str, default, value):
         # json reads NaN, Infinity and -Infinity as floats
         raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     if kind is int:
-        if float(value) != int(value):
+        if isinstance(value, float) and not value.is_integer():
             raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
         return int(value)
     return float(value)
@@ -154,16 +154,9 @@ class ExperimentConfig:
         return ChannelParams(**self.resolved["channel"])
 
     def network(self) -> NetworkConfig:
-        n = self.resolved["network"]
-        return NetworkConfig(
-            width=n["width"],
-            depth=n["depth"],
-            output_size=n["n_channels"],
-            bn_epsilon=n["bn_epsilon"],
-            out_min_dbm=n["out_min_dbm"],
-            out_max_dbm=n["out_max_dbm"],
-            dtype=n["dtype"],
-        )
+        n = dict(self.resolved["network"])
+        del n["bn_momentum"]  # a TrainConfig field
+        return NetworkConfig(output_size=n.pop("n_channels"), **n)
 
     def constraints(self) -> ConstraintConfig:
         return ConstraintConfig(**self.resolved["constraints"])
@@ -179,17 +172,9 @@ class ExperimentConfig:
             **self.resolved["training"],
         )
 
-    def with_overrides(self, seed=None, out_dir=None, threads=None) -> "ExperimentConfig":
-        resolved = copy.deepcopy(self.resolved)
-        if seed is not None:
-            resolved["seed"] = int(seed)
-        if out_dir is not None:
-            resolved["out_dir"] = str(out_dir)
-        if threads is not None:
-            resolved["threads"] = int(threads)
-        cfg = ExperimentConfig(resolved)
-        cfg.validate()
-        return cfg
+    def with_overrides(self, **overrides) -> "ExperimentConfig":
+        """This config with each top-level key set to a non-None override."""
+        return parse_config(self.resolved | {k: v for k, v in overrides.items() if v is not None})
 
     def validate(self) -> None:
         """Construct every typed sub-config so invalid values fail here."""

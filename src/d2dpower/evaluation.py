@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,9 @@ _GRID_CHUNK = 65_536
 _EVAL_CHUNK = 512
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Aggregates over freshly sampled held-out drops (infer mode)."""
+class EvalReport(NamedTuple):
+    """Aggregates over freshly sampled held-out drops (infer mode); the
+    fields, in order, are the columns of the eval report."""
 
     mean_eta: float
     eta_std: float

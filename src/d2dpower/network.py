@@ -46,7 +46,13 @@ _BLOCK = 64 * 1500
 
 _MAGIC = b"D2DPWNET"
 _FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sIIIIIddd")
+# The checkpoint header: the magic and the format version, then these
+# NetworkConfig fields in file order, each with its struct code.
+_HEADER_FIELDS = {
+    "depth": "I", "width": "I", "input_size": "I", "output_size": "I",
+    "bn_epsilon": "d", "out_min_dbm": "d", "out_max_dbm": "d",
+}
+_HEADER = struct.Struct("<8sI" + "".join(_HEADER_FIELDS.values()))
 
 
 @dataclass(frozen=True)
@@ -380,34 +386,23 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
 def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
     """Write parameters and running statistics to a binary checkpoint.
 
-    Layout: fixed header (magic, format version, depth, width,
-    input_size, output_size, bn_epsilon, out range), then per layer the
-    arrays W, S, Z, running mean, running variance as little-endian
-    float64, row-major, whatever the compute dtype.
+    Layout: the magic, the format version and _HEADER_FIELDS, then per
+    layer the arrays of _layer_arrays as little-endian float64, row-major,
+    whatever the compute dtype.
 
     The bytes go to a temporary file next to path, which is flushed to
     disk and then renamed over path: a reader that maps the old file
     keeps it whole, and a failed write leaves the old file as it was.
     """
     cfg = params.config
-    header = _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        cfg.depth,
-        cfg.width,
-        cfg.input_size,
-        cfg.output_size,
-        cfg.bn_epsilon,
-        cfg.out_min_dbm,
-        cfg.out_max_dbm,
-    )
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, *(getattr(cfg, k) for k in _HEADER_FIELDS))
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(header)
             for idx, layer in enumerate(params.layers):
-                for arr in (layer.w, layer.s, layer.z, stats.mean[idx], stats.var[idx]):
+                for arr in _layer_state(layer, stats.mean[idx], stats.var[idx]):
                     # through the buffer protocol: a float64 array is written without a copy
                     f.write(np.ascontiguousarray(arr, dtype="<f8").data)
             f.flush()
@@ -418,15 +413,36 @@ def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:
         raise
 
 
+def _layer_arrays(fan_in: int, fan_out: int) -> tuple[tuple[str, int], ...]:
+    """The name a truncation message gives each array a checkpoint holds
+    for a fan_in x fan_out layer, and its element count, in file order."""
+    return (
+        ("weights", fan_in * fan_out),
+        ("scale", fan_out),
+        ("shift", fan_out),
+        ("running mean", fan_out),
+        ("running variance", fan_out),
+    )
+
+
+def _layer_state(layer: LayerParams, mean: np.ndarray, var: np.ndarray) -> tuple:
+    """A layer's arrays in _layer_arrays order."""
+    return layer.w, layer.s, layer.z, mean, var
+
+
+def _layer_bytes(fan_in: int, fan_out: int) -> int:
+    return 8 * sum(n for _, n in _layer_arrays(fan_in, fan_out))
+
+
 def _check_length(config: NetworkConfig, size: int) -> None:
     """Raise unless a file of size bytes holds exactly the arrays that
     config's header promises; a short file names the array it ends in.
     The layout is worked out per layer kind, not per layer, so a corrupt
     depth field costs no more than a valid one."""
     width, depth = config.width, config.depth
-    first = 8 * (config.input_size + 4) * width
-    hidden = 8 * (width + 4) * width
-    total = _HEADER.size + first + (depth - 1) * hidden + 8 * (width + 4) * config.output_size
+    first = _layer_bytes(config.input_size, width)
+    hidden = _layer_bytes(width, width)
+    total = _HEADER.size + first + (depth - 1) * hidden + _layer_bytes(width, config.output_size)
     if size > total:
         raise CheckpointFormatError("unexpected trailing data after parameters")
     if size == total:
@@ -438,13 +454,7 @@ def _check_length(config: NetworkConfig, size: int) -> None:
         offset = _HEADER.size + first + (idx - 1) * hidden
     fan_in = config.input_size if idx == 0 else width
     fan_out = config.output_size if idx == depth else width
-    for what, n in (
-        ("weights", fan_in * fan_out),
-        ("scale", fan_out),
-        ("shift", fan_out),
-        ("running mean", fan_out),
-        ("running variance", fan_out),
-    ):
+    for what, n in _layer_arrays(fan_in, fan_out):
         if size < offset + 8 * n:
             raise CheckpointTruncatedError(
                 f"checkpoint ended while reading layer {idx} {what} "
@@ -453,18 +463,18 @@ def _check_length(config: NetworkConfig, size: int) -> None:
         offset += 8 * n
 
 
-def _load_layer(f, offset: int, layer: LayerParams):
-    """Copy one layer's W, s and z from a read-only map of f at offset
-    into layer, in its dtype, and return float64 copies of the running
-    mean and variance. The map is released on return: no view of the file
-    outlives the call."""
-    n_w, n = layer.w.size, layer.s.size
-    mapped = np.memmap(f, dtype="<f8", mode="r", offset=offset, shape=(n_w + 4 * n,))
-    w, s, z, mean, var = np.split(mapped, [n_w, n_w + n, n_w + 2 * n, n_w + 3 * n])
-    layer.w[...] = w.reshape(layer.w.shape)
-    layer.s[...] = s
-    layer.z[...] = z
-    return np.array(mean, dtype=np.float64), np.array(var, dtype=np.float64)
+def _load_layer(f, offset: int, arrays) -> int:
+    """Copy one layer's arrays, given in _layer_arrays order, from a
+    read-only map of f at offset into arrays, each in its own dtype, and
+    return the offset after them. The map is released on return: no view
+    of the file outlives the call."""
+    n = sum(a.size for a in arrays)
+    mapped = np.memmap(f, dtype="<f8", mode="r", offset=offset, shape=(n,))
+    start = 0
+    for a in arrays:
+        a[...] = mapped[start : start + a.size].reshape(a.shape)
+        start += a.size
+    return offset + mapped.nbytes
 
 
 def load_checkpoint(path, expect_config: NetworkConfig | None = None):
@@ -487,9 +497,7 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
         raw = f.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise CheckpointTruncatedError("checkpoint shorter than its header")
-        magic, version, depth, width, input_size, output_size, bn_eps, out_min, out_max = (
-            _HEADER.unpack(raw)
-        )
+        magic, version, *values = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise CheckpointFormatError(f"bad magic bytes {magic!r}")
         if version != _FORMAT_VERSION:
@@ -498,25 +506,15 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
             )
         try:
             config = NetworkConfig(
-                width=width,
-                depth=depth,
-                output_size=output_size,
-                input_size=input_size,
-                bn_epsilon=bn_eps,
-                out_min_dbm=out_min,
-                out_max_dbm=out_max,
+                **dict(zip(_HEADER_FIELDS, values)),
                 dtype=expect_config.dtype if expect_config is not None else "float64",
             )
         except ConfigurationError as e:
             raise CheckpointFormatError(f"invalid checkpoint header: {e}") from None
         if expect_config is not None:
-            expected = (
-                expect_config.width,
-                expect_config.depth,
-                expect_config.input_size,
-                expect_config.output_size,
-            )
-            stored = (width, depth, input_size, output_size)
+            layout = ("width", "depth", "input_size", "output_size")  # in the message's order
+            stored = tuple(getattr(config, k) for k in layout)
+            expected = tuple(getattr(expect_config, k) for k in layout)
             if expected != stored:
                 raise CheckpointShapeError(
                     f"checkpoint layout (width, depth, in, out)={stored} does not "
@@ -524,13 +522,10 @@ def load_checkpoint(path, expect_config: NetworkConfig | None = None):
                 )
         _check_length(config, os.fstat(f.fileno()).st_size)
         params = NetworkParams(config)
-        means = []
-        variances = []
+        means = [np.empty(layer.s.size) for layer in params.layers]
+        variances = [np.empty_like(m) for m in means]
         offset = _HEADER.size
-        for layer in params.layers:
-            mean, var = _load_layer(f, offset, layer)
-            means.append(mean)
-            variances.append(var)
-            offset += 8 * (layer.w.size + 4 * layer.s.size)
+        for layer, mean, var in zip(params.layers, means, variances):
+            offset = _load_layer(f, offset, _layer_state(layer, mean, var))
     stats = BatchNormStats(means, variances)
     return params, stats

@@ -42,9 +42,9 @@ class AdamState:
     lr: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    beta1: float
+    beta2: float
+    epsilon: float
     t: int = 0
 
 

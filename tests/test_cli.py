@@ -132,6 +132,29 @@ def test_eval_command(tmp_path):
     assert len(lines) == 2
 
 
+def test_eval_report_rows_are_the_report_fields(tmp_path):
+    from d2dpower.evaluation import EvalReport
+
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--out-dir", out).returncode == 0
+    result = run_cli(
+        "eval", "--config", cfg, "--checkpoint", out / "checkpoint.bin",
+        "--out-dir", out / "eval",
+    )
+    assert result.returncode == 0, result.stderr
+    text = (out / "eval" / "eval_report.txt").read_text().splitlines()
+    csv_lines = (out / "eval" / "eval_report.csv").read_text().splitlines()
+    header, row = (line.split(",") for line in csv_lines)
+    txt_keys, txt_values = zip(*(line.split(" = ") for line in text))
+    out_keys, out_values = zip(*(line.split(" = ") for line in result.stdout.splitlines()))
+    assert list(txt_keys) == header == list(out_keys) == list(EvalReport._fields)
+    assert list(txt_values) == row == list(out_values)
+    *floats, n_drops = row
+    assert all(v == repr(float(v)) for v in floats)
+    assert n_drops == str(BASE_CONFIG["evaluation"]["n_drops"])
+
+
 def test_powermap_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -255,8 +278,12 @@ def test_non_finite_number_rejected(tmp_path, section, key, bad):
         ("channel", "enb_l1_db", None, None),
         (None, "threads", None, None),
         ("topology", "dmax_m", None, "null is not allowed"),
+        (None, "seed", 2**53 + 1, 2**53 + 1),
     ],
-    ids=["int", "float", "bool", "str", "nullable-float", "nullable-int", "not-nullable"],
+    ids=[
+        "int", "float", "bool", "str", "nullable-float", "nullable-int", "not-nullable",
+        "int-beyond-float",
+    ],
 )
 def test_key_type_is_the_default_type(tmp_path, section, key, value, expect):
     data = {section: {key: value}} if section else {key: value}
