@@ -218,7 +218,8 @@ def _mean0(a: np.ndarray) -> np.ndarray:
 
 def _sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of h, into out (a new array by default); h's
-    buffer is overwritten.
+    buffer is overwritten, first by -|h| (abs then negative: every bit,
+    NaN and signed zeros too, as copysign(h, -1), at fewer cycles).
 
     With e = exp(-|h|) the result is 1/(1+e) where h >= 0 and e/(1+e)
     elsewhere: the two overflow-free branches of the textbook masked form,
@@ -228,7 +229,7 @@ def _sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     out = np.empty_like(h) if out is None else out
     np.greater_equal(h, 0.0, out=out)
-    e = np.copysign(h, -1.0, out=h)
+    e = np.negative(np.abs(h, out=h), out=h)
     np.exp(e, out=e)
     np.maximum(e, out, out=out)
     e += 1.0

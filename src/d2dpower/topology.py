@@ -18,12 +18,6 @@ SQRT3 = math.sqrt(3.0)
 
 SUPPORTED_CELL_COUNTS = (1, 3, 7)
 
-# (drop, cell) units drawn per speculative generator call in sample_batch.
-# A unit whose first rejection round falls short discards the draws of the
-# units after it in its window, so this trades calls against redrawn
-# doubles; no output bit depends on it.
-_WINDOW = 64
-
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -153,78 +147,92 @@ def sample_batch(
 
     Each (drop, cell) unit, in that order, takes its transmitters
     uniformly inside the hexagon by rejection from the bounding box: rounds
-    of m = max(8, int(1.6 * missing)) x candidates, then m y candidates,
+    of k = max(8, int(1.6 * missing)) x candidates, then k y candidates,
     keeping accepted points in order until pairs_per_cell are found. It
     then draws pairs_per_cell receiver distances ~ Uniform[0, dmax] and
     bearings ~ Uniform[0, 2*pi). Receivers may land outside the home cell.
 
-    Units are drawn _WINDOW at a time in one generator call, as if each
-    needed one rejection round. At the first unit whose round falls short,
-    the generator is rewound to the end of that round and the unit draws
-    its further rounds and receivers alone; the next window starts after
-    it. So the generator is consumed exactly as by the unit-by-unit loop.
+    Every value is read from one pool of rng.random() doubles, since
+    rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() bit for bit. Once
+    _walk has found the entries each unit reads, the generator is rewound
+    and advanced by the doubles used, as the unit-by-unit loop leaves it.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if pairs_per_cell < 1:
         raise ConfigurationError(f"pairs_per_cell must be >= 1, got {pairs_per_cell}")
-    if dmax < 0:
-        raise ConfigurationError(f"dmax must be >= 0, got {dmax}")
+    if not (0 <= dmax < math.inf and 0 <= 2 * layout.radius < math.inf):  # as rng.uniform
+        raise ConfigurationError(f"dmax, 2 * radius must be finite, >= 0: {dmax}, {layout.radius}")
     n = pairs_per_cell
-    r = layout.radius
-    apothem = SQRT3 * r / 2.0
-    m = max(8, int(1.6 * n))
-    span = 2 * m + 2 * n  # doubles one unit draws when its first round suffices
     units = batch_size * layout.cell_count
-    reps = min(units, _WINDOW)
-    lo = np.tile(np.repeat([-r, -apothem, 0.0, 0.0], [m, m, n, n]), reps)
-    hi = np.tile(np.repeat([r, apothem, dmax, 2.0 * math.pi], [m, m, n, n]), reps)
-    centers = np.tile(layout.cell_centers, (batch_size, 1))
-    pairs = np.empty((units, n, 4))
-    u = 0
-    while u < units:
-        w = min(_WINDOW, units - u)
-        state = rng.bit_generator.state
-        draw = rng.uniform(lo[: w * span], hi[: w * span]).reshape(w, span)
-        cand = np.stack((draw[:, :m], draw[:, m : 2 * m]), axis=-1)
-        inside = points_in_hexagon(cand.reshape(-1, 2), (0.0, 0.0), r).reshape(w, m)
-        rank = np.cumsum(inside, axis=1)
-        short = np.flatnonzero(rank[:, -1] < n)
-        done = int(short[0]) if short.size else w
-        keep = inside[:done] & (rank[:done] <= n)  # the first n accepted points
-        _place_pairs(
-            pairs[u : u + done],
-            cand[:done][keep].reshape(done, n, 2) + centers[u : u + done, None],
-            draw[:done, 2 * m : 2 * m + n],
-            draw[:done, 2 * m + n :],
-        )
-        u += done
-        if done == w:
-            continue
-        rng.bit_generator.state = state
-        rng.random(done * span + 2 * m)  # up to the end of the short round
-        found = [cand[done][inside[done]]]
-        missing = n - len(found[0])
+    span = 2 * max(8, int(1.6 * n)) + 2 * n  # doubles of a unit whose first round suffices
+    state = rng.bit_generator.state
+    pool = rng.random(units * span * 9 // 8)  # short units take at most about 10% more
+    while (walk := _walk(pool, layout.radius, n, units)) is None:
+        pool = np.concatenate((pool, rng.random(pool.size)))
+    rng.bit_generator.state = state
+    consumed, tx, rx = walk
+    rng.random(consumed)
+    dist, bearing = dmax * pool[rx], (2.0 * math.pi) * pool[rx + n]
+    tx = tx.reshape(batch_size, -1, n, 2) + layout.cell_centers[:, None]
+    rx = tx + np.stack((dist * np.cos(bearing), dist * np.sin(bearing)), -1).reshape(tx.shape)
+    return Drop(layout, np.concatenate((tx, rx), -1).reshape(batch_size, -1, 4))
+
+
+def _walk(pool, r, n, units):
+    """(doubles used, [units * n, 2] transmitters, [units, n] receiver
+    distance entries) of a sample_batch read from pool, or None if the units
+    run past it. A width-k round at entry p reads x from entries p to
+    p + k - 1, y from the k after them."""
+    a = SQRT3 * r / 2.0
+    xy = pool * np.array([[r - -r], [a - -a]]) + [[-r], [-a]]  # each entry as an x and a y
+    sums = {}  # k -> s: candidates p to q - 1 of width-k rounds accept s[q] - s[p]
+
+    def accepted(k):
+        if k not in sums:  # pts row j: the x of entry j and the y of entry j + k, not copied
+            pts = np.ndarray((pool.size - k, 2), buffer=xy, strides=(8, 8 * (pool.size + k)))
+            sums[k] = np.zeros(pool.size - k + 1, dtype=np.intp)
+            np.cumsum(points_in_hexagon(pts, (0.0, 0.0), r), out=sums[k][1:])
+        return sums[k]
+
+    m = max(8, int(1.6 * n))
+    span = 2 * m + 2 * n
+    s = accepted(m)
+    # stop[p]: the first q >= p, q = p (mod span), where a unit falls short or passes the pool
+    fits = pool.size - span + 1
+    mark = np.arange((pool.size // span + 1) * span)
+    mark[:fits][s[m : m + fits] - s[:fits] >= n] = mark.size
+    stop = np.minimum.accumulate(mark.reshape(-1, span)[::-1], axis=0)[::-1].ravel()
+    runs, extra = [], {}  # runs: (first round start - span * unit, units)
+    p = u = 0
+    while True:
+        run = min((int(stop[p]) - p) // span, units - u)
+        stopped = run < units - u  # at a unit that is short or runs past the pool
+        runs.append((p - span * u, run + stopped))
+        p, u = p + run * span, u + run
+        if not stopped:
+            break
+        k, missing = m, n
         while missing:
-            k = max(8, int(1.6 * missing))
-            more = np.column_stack([rng.uniform(-r, r, k), rng.uniform(-apothem, apothem, k)])
-            found.append(more[points_in_hexagon(more, (0.0, 0.0), r)][:missing])
-            missing -= len(found[-1])
-        dist = rng.uniform(0.0, dmax, n)
-        bearing = rng.uniform(0.0, 2.0 * math.pi, n)
-        _place_pairs(pairs[u], np.concatenate(found) + centers[u], dist, bearing)
-        u += 1
-    return Drop(layout, pairs.reshape(batch_size, -1, 4))
-
-
-def _place_pairs(out, tx, dist, bearing):
-    """Write (tx_x, tx_y, rx_x, rx_y) rows into out, each receiver at
-    dist along bearing from its transmitter."""
-    out[..., :2] = tx
-    np.multiply(dist, np.cos(bearing), out=out[..., 2])
-    out[..., 2] += tx[..., 0]
-    np.multiply(dist, np.sin(bearing), out=out[..., 3])
-    out[..., 3] += tx[..., 1]
+            if p + 2 * k + 2 * n > pool.size:
+                return None
+            s = accepted(k)
+            missing -= min(int(s[p + k] - s[p]), missing)
+            p, k = p + 2 * k, max(8, int(1.6 * missing))
+            if missing:
+                extra.setdefault(k, []).append((p, missing))
+        p, u = p + 2 * n, u + 1
+    firsts = np.repeat(*np.array(runs).T) + span * np.arange(units)
+    picks = []  # the x and the y entry of each transmitter
+    for k, starts, missing in [(m, firsts, [n])] + [(k, *np.array(v).T) for k, v in extra.items()]:
+        s, cand = sums[k], starts[:, None] + np.arange(k)
+        hit = s[cand + 1]  # accepted count up to and including each candidate
+        keep = (hit > s[cand]) & (hit - s[starts, None] <= np.array(missing)[:, None])
+        picks.append(cand[keep] + [[0], [k]])
+    picks = np.concatenate(picks, axis=1)
+    xs, ys = picks[:, np.argsort(picks[0], kind="stable")]  # unit order, then round order
+    rx = np.append(firsts[1:], p)[:, None] - np.arange(2 * n, n, -1)  # last 2n entries
+    return p, np.stack((xy[0, xs], xy[1, ys]), -1), rx
 
 
 def flatten_batch(drops: Drop) -> np.ndarray:

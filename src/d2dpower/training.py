@@ -269,6 +269,7 @@ def train(cfg: TrainConfig):
         if not np.isfinite(cost):
             raise NumericDivergenceError(iteration)
         params, adam = adam_step(adam, params, grads)
+        del grads  # else it stays alive through the next forward and backward
         if (iteration - 1) % cfg.log_every == 0 or iteration == cfg.n_epoch:
             metrics.append(
                 MetricsRecord(

@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,24 @@ def test_train_metrics_fields_finite():
             assert np.isfinite(getattr(m, name))
         assert 0.0 <= m.pmax_violation_rate <= 1.0
         assert 0.0 <= m.q_exceed_rate <= 1.0
+
+
+def test_train_frees_each_gradient_before_the_next_iteration():
+    # a gradient kept through the next forward and backward would raise
+    # every later iteration's peak by one parameter vector
+    net = NetworkConfig(width=256, depth=3, output_size=2)
+
+    def traced_peak(n_epoch):
+        tracemalloc.start()
+        try:
+            train(_tiny_train_config(network=net, n_epoch=n_epoch, batch_size=64))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # one-time allocations (caches, lazy imports) out of the way
+    vector_bytes = init_params(net, np.random.default_rng(0)).flat.nbytes
+    assert traced_peak(3) - traced_peak(1) < vector_bytes / 2
 
 
 def test_train_deterministic_for_fixed_seed():
