@@ -93,12 +93,13 @@ def evaluate(
     q_hits = 0
     q_entries = 0
     q_w = constraints.q_max_w
+    work = {}  # the layer buffers every chunk's forward reuses
     done = 0
     while done < n_drops:
         m = min(_EVAL_CHUNK, n_drops - done)
         drops = sample_batch(layout, pairs_per_cell, dmax, m, rng)
         gains = build_gain_table(drops, channel, rng, n)
-        p_flat, _ = forward(params, flatten_batch(drops), "infer", stats)
+        p_flat, _ = forward(params, flatten_batch(drops), "infer", stats, work=work)
         comp = stacked_cost(
             p_flat.reshape(m, k, n), gains.g_d2d_db, gains.g_enb_db, constraints,
             channel.noise_dbw,
@@ -152,12 +153,13 @@ def power_map(
         inside |= points_in_hexagon(pts, c, r)
     values = np.full(pts.shape[0], np.nan)
     idx = np.flatnonzero(inside)
+    work = {}
     for start in range(0, idx.size, 8192):
         sel = idx[start : start + 8192]
         probe = np.column_stack(
             [pts[sel, 0], pts[sel, 1], pts[sel, 0] + rx_offset, pts[sel, 1]]
         )
-        p, _ = forward(params, probe, "infer", stats)
+        p, _ = forward(params, probe, "infer", stats, work=work)
         values[sel] = p.mean(axis=1)
     return PowerMapRaster(
         x0=float(xs[0]), y0=float(ys[0]), step=float(grid_step),

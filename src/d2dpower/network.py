@@ -247,6 +247,17 @@ def _row_blocks(*arrays):
     return (tuple(a[i : i + rows] for a in arrays) for i in range(0, n, rows))
 
 
+def _work_buffers(work: dict, n: int, width: int, dtype: str) -> list:
+    """Views of the first n rows of work's two dtype buffers of this
+    width, grown to n rows if need be: one for a, one for y. A layer's
+    input h is the previous y or not in work, so never a's buffer, and it
+    is dead once a = h @ W is written, so y may take its buffer."""
+    bufs = work.get(width)
+    if bufs is None or len(bufs[0]) < n or bufs[0].dtype != dtype:
+        bufs = work[width] = [np.empty((n, width), dtype) for _ in range(2)]
+    return [b[:n] for b in bufs]
+
+
 @dataclass
 class _LayerCache:
     x_in: np.ndarray
@@ -261,6 +272,7 @@ def forward(
     x: np.ndarray,
     mode: str = "train",
     stats: BatchNormStats | None = None,
+    work: dict | None = None,
 ):
     """Map coordinate rows [B, input_size] to powers [B, output_size] dBm.
 
@@ -269,10 +281,17 @@ def forward(
     mode requires B >= 2 (per-feature variance over the batch) and, when
     stats is given, refreshes the running statistics once every layer
     has passed its checks: a NumericError leaves them as they were. The
-    layers compute in config.dtype; p_dbm is float64.
+    layers compute in config.dtype; p_dbm is a new float64 array.
+
+    work, infer mode only, is a caller-owned dict (empty at first) that
+    keeps two layer buffers per width for the next call to write into
+    instead of allocating its own; a call with fewer rows uses their
+    leading rows. The output never aliases it.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and work is not None:
+        raise ValueError("a workspace applies in infer mode only")
     cfg = params.config
     x = np.asarray(x, dtype=cfg.dtype)
     if x.ndim != 2 or x.shape[1] != cfg.input_size:
@@ -291,10 +310,15 @@ def forward(
     h = x
     scratch = None
     for idx, layer in enumerate(params.layers):
-        a = h @ layer.w
+        if work is None:
+            a = h @ layer.w
+        else:
+            a, y = _work_buffers(work, len(h), layer.w.shape[1], cfg.dtype)
+            np.matmul(h, layer.w, out=a)
+            scratch = a  # infer mode reads each a_hat element only before its hpre
         if not _all_finite(a):
             raise NumericError(f"non-finite pre-activation in layer {idx}", layer=idx)
-        if scratch is None or scratch.shape != a.shape:
+        if work is None and (scratch is None or scratch.shape != a.shape):
             scratch = np.empty_like(a)
         # a becomes a_hat in place; scratch holds a*a, then hpre, then exp(-|hpre|);
         # elementwise steps run per row block, reductions on whole arrays
@@ -309,7 +333,8 @@ def forward(
         else:
             a -= stats.mean[idx]
             inv_std = stats.inv_std(idx, cfg.bn_epsilon)
-        y = np.empty_like(a)
+        if work is None:
+            y = np.empty_like(a)
         for a_b, s_b, y_b in _row_blocks(a, scratch, y):
             a_b *= inv_std
             np.multiply(layer.s, a_b, out=s_b)  # hpre

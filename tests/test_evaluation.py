@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from d2dpower import evaluation
 from d2dpower.channel import ChannelParams, build_gain_table
 from d2dpower.errors import SearchSpaceTooLargeError
 from d2dpower.evaluation import (
+    _EVAL_CHUNK,
+    EvalReport,
     evaluate,
     oracle_direct_opt,
     oracle_grid_search,
@@ -14,11 +17,12 @@ from d2dpower.evaluation import (
 from d2dpower.network import (
     NetworkConfig,
     NetworkParams,
+    forward,
     init_params,
     init_stats,
 )
 from d2dpower.objective import ConstraintConfig, stacked_cost
-from d2dpower.topology import build_hex_layout, sample_drop
+from d2dpower.topology import build_hex_layout, sample_batch, sample_drop
 
 NO_SHADOW = ChannelParams(shadowing_enabled=False)
 
@@ -79,6 +83,47 @@ def test_evaluate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_evaluate_matches_a_chunk_by_chunk_loop(dtype):
+    # two full chunks and a ragged one of 37 drops, each through a forward
+    # of its own with no workspace
+    cfg = NetworkConfig(width=16, depth=2, output_size=3, dtype=dtype)
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    forward(params, rng.uniform(-500, 500, (32, 4)), "train", stats)  # non-trivial statistics
+    layout = build_hex_layout(3, 500.0)
+    channel, constraints = ChannelParams(), ConstraintConfig(p_max_w=1.2e-9, q_max_dbw=-220.0)
+    n_drops, pairs, n = 2 * _EVAL_CHUNK + 37, 2, cfg.output_size
+    got = evaluate(
+        params, stats, layout, channel, constraints, pairs_per_cell=pairs, dmax=100.0,
+        n_drops=n_drops, rng=np.random.default_rng(44),
+    )
+    rng = np.random.default_rng(44)
+    k = pairs * layout.cell_count
+    etas, power, pmax_hits, q_hits, q_entries = [], 0.0, 0, 0, 0
+    for m in (_EVAL_CHUNK, _EVAL_CHUNK, 37):
+        drops = sample_batch(layout, pairs, 100.0, m, rng)
+        gains = build_gain_table(drops, channel, rng, n)
+        p, _ = forward(params, drops.pairs.reshape(-1, 4), "infer", stats)
+        comp = stacked_cost(
+            p.reshape(m, k, n), gains.g_d2d_db, gains.g_enb_db, constraints, channel.noise_dbw
+        )
+        etas.append(comp.sum_throughput / (k * n))
+        power += float(comp.total_power_w.sum())
+        pmax_hits += int((comp.total_power_w > constraints.p_max_w).sum())
+        q_hits += int((comp.enb_interference_w > constraints.q_max_w).sum())
+        q_entries += comp.enb_interference_w.size
+    eta = np.concatenate(etas)
+    want = EvalReport(
+        float(eta.mean()), float(eta.std()), power / (n_drops * k), pmax_hits / (n_drops * k),
+        q_hits / q_entries, n_drops,
+    )
+    assert got == want
+    # caps this net's powers cross at times, so both rates are compared off zero
+    assert 0.0 < got.pmax_violation_rate < 1.0 and 0.0 < got.q_exceed_rate < 1.0
+
+
 def test_power_map_constant_network_is_flat():
     params, stats = _constant_net()
     layout = build_hex_layout(1, 500.0)
@@ -101,6 +146,24 @@ def test_power_map_bounds_and_coverage():
     assert (inside >= -150.0).all() and (inside <= 20.0).all()
     pts = list(raster.iter_points())
     assert len(pts) == inside.size
+
+
+def test_power_map_workspace_matches_plain_forward(monkeypatch):
+    # 7 cells at a 10 m step: about 43.6k probes, so five full 8192-row
+    # chunks and a ragged one share the workspace
+    cfg = NetworkConfig(width=8, depth=2, output_size=4)
+    rng = np.random.default_rng(6)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    forward(params, rng.uniform(-1500, 1500, (32, 4)), "train", stats)  # non-trivial statistics
+    layout = build_hex_layout(7, 500.0)
+    got = power_map(params, stats, layout, grid_step=10.0)
+    assert np.isfinite(got.values).sum() > 5 * 8192
+    monkeypatch.setattr(
+        evaluation, "forward", lambda p, x, mode, s, work: forward(p, x, mode, s)
+    )
+    want = power_map(params, stats, layout, grid_step=10.0)
+    assert np.array_equal(got.values, want.values, equal_nan=True)
 
 
 def test_grid_search_monotone_single_pair():

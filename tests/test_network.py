@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,10 +235,11 @@ def test_non_finite_weights_identify_layer_in_infer_mode():
     params = init_params(cfg, np.random.default_rng(12))
     broken = NetworkParams(cfg, params.flat.copy())
     broken.layers[1].w[0, 0] = np.nan
-    for rows in (4, 1):  # a batch, and a device's single row
+    # a batch, and a device's single row; a batch with and without a workspace
+    for rows, work in ((4, None), (4, {}), (1, None)):
         x = np.random.default_rng(13).uniform(-1, 1, (rows, 4))
         with pytest.raises(NumericError) as err:
-            forward(broken, x, "infer", init_stats(cfg))
+            forward(broken, x, "infer", init_stats(cfg), work=work)
         assert err.value.layer == 1
         assert str(err.value) == "non-finite pre-activation in layer 1"
 
@@ -264,8 +266,13 @@ def test_numeric_error_leaves_running_stats_unchanged(failure):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_overflowing_activation_identifies_layer(mode):
+# (mode, with a workspace): train mode, and infer mode without and with one
+_MODES = [("train", False), ("infer", False), ("infer", True)]
+_MODE_IDS = ["train", "infer", "infer-work"]
+
+
+@pytest.mark.parametrize("mode, work", _MODES, ids=_MODE_IDS)
+def test_overflowing_activation_identifies_layer(mode, work):
     # layer 1's pre-activation a = y0 @ W stays finite (y0 lies in (0, 1)),
     # but a batch-norm scale near the float64 maximum makes s * a_hat
     # infinite; the sigmoid would map that to a finite 0 or 1, so only the
@@ -276,13 +283,13 @@ def test_overflowing_activation_identifies_layer(mode):
     params.layers[1].s[...] = 1e308
     x = np.random.default_rng(18).uniform(-1000, 1000, (16, 4))
     with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
-        forward(params, x, mode, init_stats(cfg))
+        forward(params, x, mode, init_stats(cfg), work={} if work else None)
     assert err.value.layer == 1
     assert str(err.value) == "non-finite activation in layer 1"
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_non_finite_activation_in_last_row_block_identifies_layer(mode):
+@pytest.mark.parametrize("mode, work", _MODES, ids=_MODE_IDS)
+def test_non_finite_activation_in_last_row_block_identifies_layer(mode, work):
     # every row is zero but the last, which alone lies in the ragged last
     # block: its normalized pre-activation is about sqrt(rows) in train
     # mode (about |x @ W| in infer mode) while the other rows' stay below 1,
@@ -294,7 +301,7 @@ def test_non_finite_activation_in_last_row_block_identifies_layer(mode):
     x = np.zeros((rows, 4))
     x[-1] = 100.0
     with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
-        forward(params, x, mode, init_stats(cfg))
+        forward(params, x, mode, init_stats(cfg), work={} if work else None)
     assert err.value.layer == 0
     assert str(err.value) == "non-finite activation in layer 0"
 
@@ -412,6 +419,88 @@ def test_single_row_decisions_match_reference(net, source, tmp_path):
     # a train-mode forward refreshes the statistics; later decisions see it
     forward(params, rng.uniform(-1000, 1000, (64, 4)), "train", stats)
     assert not np.array_equal(decide(), first)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_infer_workspace_matches_reference(dtype):
+    # the desk net: 64-wide hidden layers and 4 outputs, as many as inputs;
+    # the rows shrink, grow past a row block (1500 rows at width 64) and
+    # shrink again, as eval chunks and a ragged last chunk do
+    cfg = NetworkConfig(width=64, depth=3, output_size=4, dtype=dtype)
+    rng = np.random.default_rng(26)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    forward(params, rng.uniform(-1000, 1000, (64, 4)), "train", stats)
+    work = {}
+    for rows in (2048, 416, 3 * (network._BLOCK // 64) + 5, 3):
+        x = rng.uniform(-1000, 1000, (rows, 4))
+        got, cache = forward(params, x, "infer", stats, work=work)
+        plain, _ = forward(params, x, "infer", stats)
+        want, _ = ref.forward(params, x, "infer", stats)
+        assert cache is None and got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(plain))
+        assert np.array_equal(_bits(got), _bits(want))
+    assert sorted(work) == [4, 64]  # keyed by layer width
+    assert all(b.dtype == cfg.dtype for bufs in work.values() for b in bufs)
+
+
+def test_infer_workspace_is_reused_and_never_aliased():
+    cfg = NetworkConfig(width=16, depth=3, output_size=4)
+    rng = np.random.default_rng(27)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    forward(params, rng.uniform(-1000, 1000, (32, 4)), "train", stats)
+    work = {}
+    x1 = rng.uniform(-1000, 1000, (40, 4))
+    first, _ = forward(params, x1, "infer", stats, work=work)
+    kept = first.copy()
+    bufs = {width: list(b) for width, b in work.items()}
+    assert all(len(b) == 2 for b in bufs.values())
+    second, _ = forward(params, rng.uniform(-1000, 1000, (25, 4)), "infer", stats, work=work)
+    for width, b in work.items():  # fewer rows: the same buffers, sliced
+        assert all(got is was for got, was in zip(b, bufs[width]))
+    assert np.array_equal(first, kept)  # the later call left the earlier result alone
+    for out in (first, second):
+        assert out.flags.owndata
+        assert not any(np.shares_memory(out, buf) for b in work.values() for buf in b)
+    again, _ = forward(params, x1, "infer", stats, work=work)
+    assert np.array_equal(again, kept)
+    # a float32 copy of the net gets float32 buffers of its own, not the float64 ones
+    cfg32 = NetworkConfig(width=16, depth=3, output_size=4, dtype="float32")
+    params32 = NetworkParams(cfg32, params.flat)
+    got32, _ = forward(params32, x1, "infer", stats, work=work)
+    assert np.array_equal(got32, forward(params32, x1, "infer", stats)[0])
+    assert all(b.dtype == np.float32 for bufs in work.values() for b in bufs)
+
+
+def test_infer_workspace_call_allocates_no_layer_array():
+    # a desk eval chunk: 2048 rows, so each 64-wide layer array is 1 MB and
+    # the float64 powers 64 KB; a warm call allocates only the latter's few
+    cfg = NetworkConfig(width=64, depth=3, output_size=4)
+    rng = np.random.default_rng(29)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    x = rng.uniform(-1000, 1000, (2048, 4))
+    work = {}
+    forward(params, x, "infer", stats, work=work)
+    tracemalloc.start()
+    try:
+        forward(params, x, "infer", stats, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 64 * 8 // 2
+
+
+def test_train_mode_rejects_a_workspace():
+    cfg = NetworkConfig(width=8, depth=1, output_size=2)
+    params = init_params(cfg, np.random.default_rng(28))
+    stats = init_stats(cfg)
+    before = stats.copy()
+    with pytest.raises(ValueError, match="infer mode only"):
+        forward(params, np.zeros((4, 4)), "train", stats, work={})
+    for got, want in zip(stats.mean + stats.var, before.mean + before.var):
+        assert np.array_equal(got, want)
 
 
 def test_running_stats_are_read_only(tmp_path):
