@@ -277,7 +277,8 @@ def forward(
     """Map coordinate rows [B, input_size] to powers [B, output_size] dBm.
 
     Returns (p_dbm, cache); the cache holds the intermediates backward()
-    needs and is only built in train mode (None in infer mode). Train
+    needs and is only built in train mode (None in infer mode). backward
+    consumes it: it empties the list and overwrites its y and a_hat. Train
     mode requires B >= 2 (per-feature variance over the batch) and, when
     stats is given, refreshes the running statistics once every layer
     has passed its checks: a NumericError leaves them as they were. The
@@ -370,27 +371,32 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
     Backpropagates through the output rescale, sigmoids, the learned
     scale/shift, the batch statistics themselves (mean and variance are
     functions of the batch), and the weight products.
+
+    The cache is single-use: backward pops each layer's entry, takes its
+    dead y as scratch and a square layer's dead a_hat for the next d_y, so
+    beyond the gradient it allocates one layer array. A used or empty
+    cache raises ValueError.
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
     last = len(params.layers) - 1
+    if cache is None or len(cache) != last + 1:
+        raise ValueError("backward needs a fresh train-mode cache: a cache is single-use")
     grads = NetworkParams(cfg)
     # d_y is owned here: d_h, d_ahat and d_a are built in it in place, in
     # the operation order of the textbook formulas, so the bits match them
     d_y = np.multiply(np.asarray(d_out, dtype=cfg.dtype), scale)
     d_y *= cache[last].clip_mask
-    scratch = None
     for idx in range(last, -1, -1):
         layer = params.layers[idx]
         g = grads.layers[idx]
-        c = cache[idx]
-        if scratch is None or scratch.shape != d_y.shape:
-            scratch = np.empty_like(d_y)
+        c = cache.pop()
+        scratch = c.y  # y is read for the last time before scratch is first written
         # elementwise steps run per row block; the column sums and means
         # run on the whole arrays, so their summation order is unchanged
-        for d_b, y_b, a_b, s_b in _row_blocks(d_y, c.y, c.a_hat, scratch):
-            d_b *= y_b
-            d_b *= np.subtract(1.0, y_b, out=s_b)  # d_h = (d_y * y) * (1 - y)
+        for d_b, a_b, s_b in _row_blocks(d_y, c.a_hat, scratch):
+            d_b *= s_b
+            d_b *= np.subtract(1.0, s_b, out=s_b)  # d_h = (d_y * y) * (1 - y)
             np.multiply(d_b, a_b, out=s_b)
         np.add.reduce(scratch, 0, out=g.s)
         np.add.reduce(d_y, 0, out=g.z)
@@ -404,8 +410,9 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
             d_b -= np.multiply(a_b, m2, out=s_b)
             d_b *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
         np.matmul(c.x_in.T, d_y, out=g.w)
-        if idx:
-            d_y = d_y @ layer.w.T
+        if idx:  # a_hat is dead: a square layer's takes the next d_y
+            square = c.a_hat.shape[1] == len(layer.w)
+            d_y = np.matmul(d_y, layer.w.T, out=c.a_hat if square else None)
     return grads
 
 

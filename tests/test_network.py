@@ -520,6 +520,8 @@ def test_running_stats_are_read_only(tmp_path):
 
 
 def test_passes_leave_their_inputs_unchanged():
+    # backward owns the cache: it may overwrite each entry's y and a_hat,
+    # and it empties the list; every other input stays as it was
     cfg, params, x, d_out = _shape_case(_SHAPES["desk"], saturate=False)
     stats = init_stats(cfg)
     forward(params, x, "train", stats)  # non-trivial running statistics
@@ -530,21 +532,49 @@ def test_passes_leave_their_inputs_unchanged():
     assert np.array_equal(params.flat, flat_before)
     for got, want in zip(stats.mean + stats.var, stats_before.mean + stats_before.var):
         assert np.array_equal(got, want)
-    cached = [
-        {name: getattr(entry, name).copy() for name in ("x_in", "a_hat", "inv_std", "y")}
-        for entry in cache
-    ]
+    entries = list(cache)
+    inv_std = [entry.inv_std.copy() for entry in entries]
     clip_mask = cache[-1].clip_mask.copy()
     d_out_before = d_out.copy()
     first = backward(params, cache, d_out)
-    second = backward(params, cache, d_out)
+    assert cache == []
+    second = backward(params, forward(params, x, "train", None)[1], d_out)
     assert np.array_equal(first.flat, second.flat)
     assert np.array_equal(d_out, d_out_before)
+    assert np.array_equal(x, x_before)  # the first layer's cached x_in
     assert np.array_equal(params.flat, flat_before)
-    assert np.array_equal(cache[-1].clip_mask, clip_mask)
-    for entry, saved in zip(cache, cached):
-        for name, arr in saved.items():
-            assert np.array_equal(getattr(entry, name), arr), name
+    assert np.array_equal(entries[-1].clip_mask, clip_mask)
+    for entry, saved in zip(entries, inv_std):
+        assert np.array_equal(entry.inv_std, saved)
+
+
+def test_backward_rejects_a_used_cache():
+    cfg, params, x, d_out = _shape_case(_SHAPES["desk"], saturate=False)
+    _, cache = forward(params, x, "train", None)
+    backward(params, cache, d_out)
+    for used in (cache, None):  # consumed, and infer mode's
+        with pytest.raises(ValueError, match="single-use"):
+            backward(params, used, d_out)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
+    # every dead y is the next scratch and every dead hidden a_hat the next
+    # d_y, so beyond the gradient only the d_y out of the output layer is new
+    cfg = NetworkConfig(width=256, depth=3, output_size=4, dtype=dtype)
+    rng = np.random.default_rng(30)
+    params = init_params(cfg, rng)
+    x = rng.uniform(-1000, 1000, (1024, 4))
+    out, cache = forward(params, x, "train", None)
+    d_out = rng.normal(0.0, 1e-2, out.shape)
+    layer_bytes = cache[1].y.nbytes
+    tracemalloc.start()
+    try:
+        grads = backward(params, cache, d_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grads.flat.nbytes + 1.5 * layer_bytes
 
 
 @given(scale=st.floats(0.1, 1e4))
