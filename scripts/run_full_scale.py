@@ -6,42 +6,28 @@ Target: held-out spectral efficiency around 3.3 bits/s/Hz. On CPU this
 is a very long run: every iteration pushes 2800 rows through eight
 1500-wide layers, forward and backward. The config computes in float32
 (network.dtype, the precision of the paper's TensorFlow model), which
-measured 3.6-3.8 s per iteration on a shared 2-core x86 VM with one BLAS
-thread (about 8.3 s in float64, measured before the row-blocked
-elementwise passes), i.e. about 4.3 days for the full 100k iterations.
+measured 2.1-2.6 s per iteration (median 2.4 s over 3 runs, one BLAS
+thread, a shared 2-core x86 VM), about 2.8 days for 100k iterations.
 Checkpoints stay float64 on disk. Use --iters to down-scale for a smoke
 run.
 
-The flags override the config; everything else comes from it. Training
-and evaluation run through the `d2dpower train` and `d2dpower eval`
-commands, so the output directory holds the CLI's metrics.csv and
-checkpoint.bin, and its eval/ subdirectory the CLI's eval_report.*; each
-holds the config_resolved.json that reproduces it. Held-out drops use
-the training seed + 1.
+The flags override the config; everything else comes from it. The run
+is one step of the QMAX sweep (scripts/run_qmax_trend.py): `d2dpower
+train` into the output directory, then `d2dpower eval` on held-out drops
+of the training seed + 1 into its eval/ subdirectory, each leaving the
+CLI's files and a config_resolved.json that reproduces it. A failed
+command stops the run with its exit code and stderr.
 """
 
 import argparse
 import json
+import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from d2dpower import cli  # noqa: E402
+from run_qmax_trend import ROOT, train_and_eval
 
 CONFIG = ROOT / "configs" / "full_scale.json"
-
-
-def run(command, config, *flags):
-    """Run one CLI command on `config` (a dict); exit on failure."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        code = cli.main([command, "--config", str(path), *map(str, flags)])
-    if code != cli.EXIT_OK:
-        sys.exit(code)
 
 
 def main():
@@ -66,12 +52,13 @@ def main():
     if args.out is not None:
         config["out_dir"] = str(args.out)
 
-    out = Path(config["out_dir"])
-    run("train", config, "--seed", config["seed"], "--out-dir", out)
-    run(
-        "eval", config, "--seed", config["seed"] + 1,
-        "--checkpoint", out / "checkpoint.bin", "--out-dir", out / "eval",
-    )
+    try:
+        report = train_and_eval(config, config["seed"], config["seed"] + 1, config["out_dir"])
+    except subprocess.CalledProcessError as e:
+        sys.stderr.write(e.stderr)
+        sys.exit(e.returncode)
+    for name, value in report._asdict().items():
+        print(f"{name} = {value!r}")
 
 
 if __name__ == "__main__":

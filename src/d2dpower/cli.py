@@ -2,10 +2,10 @@
 
 Heavy imports happen inside the command handlers so --threads, or else
 the config file's threads key (read with plain json), can pin the BLAS
-thread pools before numpy loads. The seed resolves in the order
---seed flag > D2DPOWER_SEED environment variable > config file, and the
-effective configuration is echoed to <out-dir>/config_resolved.json so
-any run can be reproduced from its own output directory.
+thread pools before numpy loads; main restores the caller's thread
+variables on return. The seed resolves as --seed flag > D2DPOWER_SEED
+environment variable > config file, and the effective configuration is
+echoed to <out-dir>/config_resolved.json, which reproduces the run.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+
 def _set_thread_env(threads: int) -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
+    for var in THREAD_VARS:
         os.environ[var] = str(threads)
 
 
@@ -284,8 +284,6 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     threads = args.threads if args.threads is not None else _config_threads(args.config)
-    if threads is not None:
-        _set_thread_env(threads)
     from .errors import (
         CheckpointError,
         ConfigurationError,
@@ -293,7 +291,10 @@ def main(argv=None) -> int:
         SearchSpaceTooLargeError,
     )
 
+    saved = {var: os.environ[var] for var in THREAD_VARS if var in os.environ}
     try:
+        if threads is not None:
+            _set_thread_env(threads)
         return args.func(args)
     except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -307,6 +308,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        for var in THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(saved)
 
 
 if __name__ == "__main__":

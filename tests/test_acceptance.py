@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line (visible with pytest -s). The trend runs (criteria 4-6) share one
-session fixture so the nine desk-scale trainings happen once.
+session fixture: the sweep scripts/run_qmax_trend.py ships, run once.
 """
 
 import json
@@ -16,35 +16,20 @@ import pytest
 from oracle_reference import scalar_drop_cost
 
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table, dbw_to_watt
-from d2dpower.evaluation import evaluate, oracle_grid_search, power_map
+from d2dpower.config import load_config
+from d2dpower.evaluation import oracle_grid_search, power_map
 from d2dpower.network import (
-    NetworkConfig,
-    NetworkParams,
-    init_params,
-    init_stats,
-    forward,
+    NetworkConfig, NetworkParams, forward, init_params, init_stats, load_checkpoint,
 )
 from d2dpower.objective import ConstraintConfig, stacked_cost
-from d2dpower.topology import (
-    Drop,
-    TopologyConfig,
-    build_hex_layout,
-    sample_batch,
-    sample_drop,
-)
-from d2dpower.training import (
-    TrainConfig,
-    adam_step,
-    cost_and_grad,
-    finite_difference_check,
-    init_adam,
-    train,
-)
+from d2dpower.topology import Drop, build_hex_layout, sample_batch, sample_drop
+from d2dpower.training import adam_step, cost_and_grad, finite_difference_check, init_adam
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+from run_qmax_trend import CONFIG, SWEEP_QMAX_DBW, SWEEP_SEEDS, run_dir, sweep  # noqa: E402
 
 NO_SHADOW = ChannelParams(shadowing_enabled=False)
-
-TREND_QMAX = (-120.0, -135.0, -150.0)
-TREND_SEEDS = (1, 2, 3)
 
 
 def _report(name, ok, detail=""):
@@ -171,50 +156,34 @@ def test_criterion_3_tiny_instance_optimality():
 
 
 @pytest.fixture(scope="session")
-def trend_runs():
-    """Nine desk-scale trainings (3 caps x 3 seeds) with held-out reports."""
+def trend_runs(tmp_path_factory):
+    """The shipped QMAX sweep over configs/desk.json (3 caps x 3 seeds),
+    each run's held-out report keyed by (cap, seed)."""
+    config = json.loads(CONFIG.read_text(encoding="utf-8"))
+    config["out_dir"] = str(tmp_path_factory.mktemp("trend"))
     t0 = time.perf_counter()
-    topo = TopologyConfig(cells=1, radius_m=500.0, pairs_per_cell=4, dmax_m=100.0)
-    channel = ChannelParams()
-    net = NetworkConfig(width=64, depth=3, output_size=4)
-    layout = build_hex_layout(1, 500.0)
-    runs = {}
-    for q in TREND_QMAX:
-        for seed in TREND_SEEDS:
-            cons = ConstraintConfig(p_max_w=0.25, q_max_dbw=q, c_p=3000.0, c_if=100.0)
-            cfg = TrainConfig(
-                network=net, constraints=cons, channel=channel, topology=topo,
-                n_epoch=5000, batch_size=16, lr=1e-3, seed=seed,
-            )
-            params, stats, _ = train(cfg)
-            report = evaluate(
-                params, stats, layout, channel, cons,
-                pairs_per_cell=4, dmax=100.0, n_drops=1000,
-                rng=np.random.default_rng(99),
-            )
-            runs[(q, seed)] = (params, stats, report)
+    runs = {(q, seed): report for q, seed, report, _ in sweep(config)}
     runs["elapsed"] = time.perf_counter() - t0
+    runs["config"] = config
     return runs
 
 
 def test_criterion_4_qmax_trend(trend_runs):
-    medians = {}
-    for q in TREND_QMAX:
-        etas = sorted(trend_runs[(q, s)][2].mean_eta for s in TREND_SEEDS)
-        medians[q] = etas[1]
-    ordered = medians[-120.0] > medians[-135.0] > medians[-150.0]
+    caps = sorted(SWEEP_QMAX_DBW, reverse=True)  # loosest first
+    medians = {q: sorted(trend_runs[(q, s)].mean_eta for s in SWEEP_SEEDS)[1] for q in caps}
+    ordered = all(medians[a] > medians[b] for a, b in zip(caps, caps[1:]))
     under_budget = trend_runs["elapsed"] < 1800.0
     _report(
         "criterion 4 (QMAX trend)",
         ordered and under_budget,
-        "median eta " + " > ".join(f"{medians[q]:.3f}@{q:g}" for q in TREND_QMAX)
+        "median eta " + " > ".join(f"{medians[q]:.3f}@{q:g}" for q in caps)
         + f", trained in {trend_runs['elapsed']:.0f}s",
     )
 
 
 def test_criterion_5_constraint_satisfaction(trend_runs):
-    worst_p = max(trend_runs[(q, s)][2].pmax_violation_rate for q in TREND_QMAX for s in TREND_SEEDS)
-    worst_q = max(trend_runs[(q, s)][2].q_exceed_rate for q in TREND_QMAX for s in TREND_SEEDS)
+    worst_p = max(trend_runs[(q, s)].pmax_violation_rate for q in SWEEP_QMAX_DBW for s in SWEEP_SEEDS)
+    worst_q = max(trend_runs[(q, s)].q_exceed_rate for q in SWEEP_QMAX_DBW for s in SWEEP_SEEDS)
     _report(
         "criterion 5 (constraint satisfaction)",
         worst_p <= 0.01 and worst_q <= 0.05,
@@ -223,10 +192,13 @@ def test_criterion_5_constraint_satisfaction(trend_runs):
 
 
 def test_criterion_6_edge_allocation(trend_runs):
-    # the run whose held-out eta is the median among the Q=-150 seeds
-    etas = {s: trend_runs[(-150.0, s)][2].mean_eta for s in TREND_SEEDS}
+    # the run whose held-out eta is the median among the tightest cap's seeds
+    tight = min(SWEEP_QMAX_DBW)
+    etas = {s: trend_runs[(tight, s)].mean_eta for s in SWEEP_SEEDS}
     med_seed = sorted(etas, key=lambda s: etas[s])[1]
-    params, stats, _ = trend_runs[(-150.0, med_seed)]
+    out = run_dir(trend_runs["config"], tight, med_seed)
+    cfg = load_config(out / "config_resolved.json")
+    params, stats = load_checkpoint(out / "checkpoint.bin", cfg.network())
     layout = build_hex_layout(1, 500.0)
     raster = power_map(params, stats, layout, grid_step=10.0, rx_offset=50.0)
     pts = np.array(list(raster.iter_points()))
@@ -298,7 +270,7 @@ def test_criterion_8_output_range_fuzz():
 
 
 def test_criterion_9_full_scale_script_documented():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_scale.py"
+    script = ROOT / "scripts" / "run_full_scale.py"
     _report(
         "criterion 9 (full-scale reproduction, optional)",
         script.is_file(),

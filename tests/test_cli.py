@@ -427,18 +427,51 @@ def test_config_threads_set_before_numpy_loads(tmp_path):
         "seen = []\n"
         "set_env = cli._set_thread_env\n"
         "def spy(n):\n"
-        "    seen.append(['numpy' in sys.modules, n])\n"
         "    set_env(n)\n"
+        "    seen.append(['numpy' in sys.modules, n, os.environ.get('OPENBLAS_NUM_THREADS')])\n"
         "cli._set_thread_env = spy\n"
         f"code = cli.main(['train', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'run')!r}])\n"
-        "print(json.dumps([code, seen, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+        "print(json.dumps([code, seen]))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    code, seen, openblas = json.loads(result.stdout.splitlines()[-1])
+    code, seen = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
-    assert seen == [[False, 1]]
-    assert openblas == "1"
+    assert seen == [[False, 1, "1"]]
+
+
+@pytest.mark.parametrize(
+    "flags, overrides, code",
+    [
+        (["--threads", "3"], {}, 0),
+        ([], {"threads": 3}, 0),
+        ([], {"threads": 3, "training": {"n_epoch": 0}}, 2),
+    ],
+    ids=["flag", "config-key", "config-error"],
+)
+def test_main_leaves_thread_variables_as_it_found_them(
+    tmp_path, monkeypatch, flags, overrides, code
+):
+    # numpy has loaded already, so this only checks the environment that
+    # the caller and its later children see
+    from d2dpower import cli
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    resolve = cli._resolve
+    during = []
+
+    def spy(args):
+        during.append({var: os.environ.get(var) for var in cli.THREAD_VARS})
+        return resolve(args)
+
+    monkeypatch.setattr(cli, "_resolve", spy)
+    before = dict(os.environ)
+    cfg = write_config(tmp_path, **overrides)
+    argv = ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"), *flags]
+    assert cli.main(argv) == code
+    assert during == [dict.fromkeys(cli.THREAD_VARS, "3")]
+    assert dict(os.environ) == before
