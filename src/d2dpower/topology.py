@@ -18,6 +18,10 @@ SQRT3 = math.sqrt(3.0)
 
 SUPPORTED_CELL_COUNTS = (1, 3, 7)
 
+# E[j] / R: from a cell's center toward its vertices at bearings 0, 120, 240, 0 degrees
+_VERTEX_ANGLES = np.radians(120.0 * np.arange(4))
+_EDGE_DIRECTIONS = np.stack((np.cos(_VERTEX_ANGLES), np.sin(_VERTEX_ANGLES)), -1)
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -145,94 +149,28 @@ def sample_batch(
     """batch_size independent drops from one layout, stacked as [B, K, 4]
     pair rows, pairs_per_cell per cell, cell-major within a drop.
 
-    Each (drop, cell) unit, in that order, takes its transmitters
-    uniformly inside the hexagon by rejection from the bounding box: rounds
-    of k = max(8, int(1.6 * missing)) x candidates, then k y candidates,
-    keeping accepted points in order until pairs_per_cell are found. It
-    then draws pairs_per_cell receiver distances ~ Uniform[0, dmax] and
-    bearings ~ Uniform[0, 2*pi). Receivers may land outside the home cell.
-
-    Every value is read from one pool of rng.random() doubles, since
-    rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() bit for bit. Once
-    _walk has found the entries each unit reads, the generator is rewound
-    and advanced by the doubles used, as the unit-by-unit loop leaves it.
+    One rng.random((B, C, n, 5)) call gives each pair five doubles. The
+    hexagon is three rhombi meeting at its center, rhombus i spanned by the
+    edges E[i] and E[i + 1], E[j] = R * (cos 120j deg, sin 120j deg). The
+    first double picks the rhombus and the next two the transmitter's place
+    in it, so transmitters are exactly uniform in the home cell without
+    rejection. The last two are the receiver's distance ~ Uniform[0, dmax]
+    and bearing ~ Uniform[0, 2*pi); receivers may land outside the cell.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if pairs_per_cell < 1:
         raise ConfigurationError(f"pairs_per_cell must be >= 1, got {pairs_per_cell}")
-    if not (0 <= dmax < math.inf and 0 <= 2 * layout.radius < math.inf):  # as rng.uniform
+    if not (0 <= dmax < math.inf and 0 <= 2 * layout.radius < math.inf):
         raise ConfigurationError(f"dmax, 2 * radius must be finite, >= 0: {dmax}, {layout.radius}")
-    n = pairs_per_cell
-    units = batch_size * layout.cell_count
-    span = 2 * max(8, int(1.6 * n)) + 2 * n  # doubles of a unit whose first round suffices
-    state = rng.bit_generator.state
-    pool = rng.random(units * span * 9 // 8)  # short units take at most about 10% more
-    while (walk := _walk(pool, layout.radius, n, units)) is None:
-        pool = np.concatenate((pool, rng.random(pool.size)))
-    rng.bit_generator.state = state
-    consumed, tx, rx = walk
-    rng.random(consumed)
-    dist, bearing = dmax * pool[rx], (2.0 * math.pi) * pool[rx + n]
-    tx = tx.reshape(batch_size, -1, n, 2) + layout.cell_centers[:, None]
-    rx = tx + np.stack((dist * np.cos(bearing), dist * np.sin(bearing)), -1).reshape(tx.shape)
+    u = rng.random((batch_size, layout.cell_count, pairs_per_cell, 5))
+    rhombus = (3.0 * u[..., 0]).astype(np.intp)  # at most 2: 3 * u < 3 for every double u < 1
+    edges = layout.radius * _EDGE_DIRECTIONS
+    tx = u[..., 1:2] * edges[rhombus] + u[..., 2:3] * edges[rhombus + 1]
+    tx += layout.cell_centers[:, None]
+    dist, bearing = dmax * u[..., 3], (2.0 * math.pi) * u[..., 4]
+    rx = tx + np.stack((dist * np.cos(bearing), dist * np.sin(bearing)), -1)
     return Drop(layout, np.concatenate((tx, rx), -1).reshape(batch_size, -1, 4))
-
-
-def _walk(pool, r, n, units):
-    """(doubles used, [units * n, 2] transmitters, [units, n] receiver
-    distance entries) of a sample_batch read from pool, or None if the units
-    run past it. A width-k round at entry p reads x from entries p to
-    p + k - 1, y from the k after them."""
-    a = SQRT3 * r / 2.0
-    xy = pool * np.array([[r - -r], [a - -a]]) + [[-r], [-a]]  # each entry as an x and a y
-    sums = {}  # k -> s: candidates p to q - 1 of width-k rounds accept s[q] - s[p]
-
-    def accepted(k):
-        if k not in sums:  # pts row j: the x of entry j and the y of entry j + k, not copied
-            pts = np.ndarray((pool.size - k, 2), buffer=xy, strides=(8, 8 * (pool.size + k)))
-            sums[k] = np.zeros(pool.size - k + 1, dtype=np.intp)
-            np.cumsum(points_in_hexagon(pts, (0.0, 0.0), r), out=sums[k][1:])
-        return sums[k]
-
-    m = max(8, int(1.6 * n))
-    span = 2 * m + 2 * n
-    s = accepted(m)
-    # stop[p]: the first q >= p, q = p (mod span), where a unit falls short or passes the pool
-    fits = pool.size - span + 1
-    mark = np.arange((pool.size // span + 1) * span)
-    mark[:fits][s[m : m + fits] - s[:fits] >= n] = mark.size
-    stop = np.minimum.accumulate(mark.reshape(-1, span)[::-1], axis=0)[::-1].ravel()
-    runs, extra = [], {}  # runs: (first round start - span * unit, units)
-    p = u = 0
-    while True:
-        run = min((int(stop[p]) - p) // span, units - u)
-        stopped = run < units - u  # at a unit that is short or runs past the pool
-        runs.append((p - span * u, run + stopped))
-        p, u = p + run * span, u + run
-        if not stopped:
-            break
-        k, missing = m, n
-        while missing:
-            if p + 2 * k + 2 * n > pool.size:
-                return None
-            s = accepted(k)
-            missing -= min(int(s[p + k] - s[p]), missing)
-            p, k = p + 2 * k, max(8, int(1.6 * missing))
-            if missing:
-                extra.setdefault(k, []).append((p, missing))
-        p, u = p + 2 * n, u + 1
-    firsts = np.repeat(*np.array(runs).T) + span * np.arange(units)
-    picks = []  # the x and the y entry of each transmitter
-    for k, starts, missing in [(m, firsts, [n])] + [(k, *np.array(v).T) for k, v in extra.items()]:
-        s, cand = sums[k], starts[:, None] + np.arange(k)
-        hit = s[cand + 1]  # accepted count up to and including each candidate
-        keep = (hit > s[cand]) & (hit - s[starts, None] <= np.array(missing)[:, None])
-        picks.append(cand[keep] + [[0], [k]])
-    picks = np.concatenate(picks, axis=1)
-    xs, ys = picks[:, np.argsort(picks[0], kind="stable")]  # unit order, then round order
-    rx = np.append(firsts[1:], p)[:, None] - np.arange(2 * n, n, -1)  # last 2n entries
-    return p, np.stack((xy[0, xs], xy[1, ys]), -1), rx
 
 
 def flatten_batch(drops: Drop) -> np.ndarray:

@@ -182,7 +182,7 @@ def test_gradcheck_runs_in_float64_for_float32_config(tmp_path):
         assert result.returncode == 0, result.stderr
         lines.append(result.stdout)
     assert lines[0] == lines[1]
-    assert "max relative error 2.087e-10 (PASS" in lines[0]
+    assert "max relative error 8.046e-10 (PASS" in lines[0]
 
 
 def test_finite_difference_check_casts_float32_params_to_float64():

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import topology_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dpower import topology
 from d2dpower.errors import ConfigurationError, ShapeError
 from d2dpower.topology import (
     CellLayout,
@@ -217,128 +215,31 @@ def test_sample_batch_equals_sequential_sample_drop():
         assert np.array_equal(batch.pairs, np.stack([d.pairs for d in singles]))
 
 
-def _first_round_accepts(layout, pairs_per_cell, dmax, batch_size, seed):
-    """Per (drop, cell) unit, in stream order, how many candidates its
-    first rejection round accepts."""
-    rng = np.random.default_rng(seed)
-    r = layout.radius
-    apothem = SQRT3 * r / 2.0
-    m = max(8, int(1.6 * pairs_per_cell))
-    accepts = []
-    for _ in range(batch_size * layout.cell_count):
-        state = rng.bit_generator.state
-        cand = np.column_stack([rng.uniform(-r, r, m), rng.uniform(-apothem, apothem, m)])
-        accepts.append(int(points_in_hexagon(cand, (0.0, 0.0), r).sum()))
-        rng.bit_generator.state = state
-        ref.sample_points_in_hexagon((0.0, 0.0), r, pairs_per_cell, rng)
-        rng.uniform(0.0, dmax, pairs_per_cell)
-        rng.uniform(0.0, 2.0 * math.pi, pairs_per_cell)
-    return accepts
+def test_transmitters_uniform_in_home_cell():
+    # exact values for a uniform point in a hexagon of circumradius R: mean
+    # squared distance from the center 5R^2/12, and 1/6 of the points in each
+    # 60-degree sector between vertices (a rhombus holds two sectors)
+    layout = build_hex_layout(7, 500.0)
+    batch = sample_batch(layout, 8, 100.0, 2000, np.random.default_rng(20))
+    offsets = batch.pairs[..., :2].reshape(2000, 7, 8, 2) - layout.cell_centers[:, None]
+    for cell in range(7):
+        assert points_in_hexagon(offsets[:, cell].reshape(-1, 2), (0.0, 0.0), 500.0).all()
+    pts = offsets.reshape(-1, 2)
+    r2 = (pts**2).sum(-1)
+    assert r2.mean() == pytest.approx(5.0 * 500.0**2 / 12.0, rel=0.01)
+    sector = (np.degrees(np.arctan2(pts[:, 1], pts[:, 0])) % 360.0 // 60.0).astype(int)
+    shares = np.bincount(sector, minlength=6) / sector.size
+    assert shares.shape == (6,)
+    assert shares == pytest.approx(np.full(6, 1.0 / 6.0), abs=0.006)
 
 
-def _short_units(layout, pairs_per_cell, dmax, batch_size, seed):
-    """Per (drop, cell) unit, in stream order, whether its first rejection
-    round accepts fewer than pairs_per_cell candidates."""
-    accepts = _first_round_accepts(layout, pairs_per_cell, dmax, batch_size, seed)
-    return [a < pairs_per_cell for a in accepts]
-
-
-def _assert_matches_reference(layout, pairs_per_cell, dmax, batch_size, seed):
-    rng = np.random.default_rng(seed)
-    want_rng = np.random.default_rng(seed)
-    got = sample_batch(layout, pairs_per_cell, dmax, batch_size, rng)
-    want = ref.sample_batch_pairs(layout, pairs_per_cell, dmax, batch_size, want_rng)
-    assert got.pairs.shape == want.shape
-    assert got.pairs.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == want_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("pairs_per_cell", [1, 2, 4, 8, 13])
-@pytest.mark.parametrize("cells", [1, 3, 7])
-def test_sample_batch_matches_unit_by_unit_reference(cells, pairs_per_cell):
-    # the windowed draw consumes the generator exactly as the per-drop,
-    # per-cell loop, across window edges and rewinds
-    layout = build_hex_layout(cells, 500.0)
-    w = 64
-    for dmax in (0.0, 100.0):
-        for bn in (1, w - 1, w, w + 1, 512):
-            _assert_matches_reference(layout, pairs_per_cell, dmax, bn, 100 * cells + bn)
-
-
-@pytest.mark.parametrize("where", [0, -1])
-def test_sample_batch_rewinds_at_first_or_last_unit(where):
-    # a batch whose first (or last) unit needs a second rejection round
-    layout = build_hex_layout(1, 500.0)
-    bn = 64
-    seed = {0: 9, -1: 1}[where]
-    assert _short_units(layout, 8, 100.0, bn, seed)[where]
-    _assert_matches_reference(layout, 8, 100.0, bn, seed)
-
-
-@given(
-    cells=st.sampled_from([1, 3, 7]),
-    pairs_per_cell=st.integers(1, 16),
-    dmax=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
-    batch_size=st.integers(1, 600),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(deadline=None, max_examples=30)
-def test_sample_batch_matches_reference_for_any_batch(
-    cells, pairs_per_cell, dmax, batch_size, seed
-):
-    layout = build_hex_layout(cells, 500.0)
-    rng = np.random.default_rng(seed)
-    want_rng = np.random.default_rng(seed)
-    got = sample_batch(layout, pairs_per_cell, dmax, batch_size, rng)
-    want = ref.sample_batch_pairs(layout, pairs_per_cell, dmax, batch_size, want_rng)
-    assert got.pairs.tobytes() == want.tobytes()
-    assert rng.bit_generator.state == want_rng.bit_generator.state
-    assert rng.random() == want_rng.random()
-
-
-class _CountingGenerator:
-    """A Generator that records the name of each attribute read from it:
-    every method call and every bit_generator access."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.calls = []
-
-    def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self._rng, name)
-
-
-def test_sample_batch_generator_calls_do_not_grow_with_short_units():
-    # a 512-drop desk batch with many units short after their first
-    # rejection round makes the same generator calls as a batch with none
-    layout = build_hex_layout(1, 500.0)
-    assert sum(_short_units(layout, 4, 100.0, 512, 3)) >= 10
-    assert not any(_short_units(layout, 4, 100.0, 16, 0))
-    busy, calm = _CountingGenerator(3), _CountingGenerator(0)
-    topology.sample_batch(layout, 4, 100.0, 512, busy)
-    topology.sample_batch(layout, 4, 100.0, 16, calm)
-    assert busy.calls == calm.calls
-    _assert_matches_reference(layout, 4, 100.0, 512, 3)
-
-
-def test_sample_batch_extends_a_pool_that_runs_out():
-    # a lone unit short after its first round needs more doubles than the
-    # pool first drawn for it, so the pool is extended once
-    layout = build_hex_layout(1, 500.0)
-    seed = next(s for s in range(100) if _short_units(layout, 8, 100.0, 1, s)[0])
-    rng = _CountingGenerator(seed)
-    topology.sample_batch(layout, 8, 100.0, 1, rng)
-    assert rng.calls.count("random") == 3  # pool, extension, final advance
-    _assert_matches_reference(layout, 8, 100.0, 1, seed)
-
-
-def test_sample_batch_unit_whose_first_round_accepts_nothing():
-    # unit 5 of this desk train batch accepts none of its first round's 8
-    # candidates, so its second round still misses all 4 points
-    layout = build_hex_layout(1, 500.0)
-    assert _first_round_accepts(layout, 4, 100.0, 16, 2679)[5] == 0
-    _assert_matches_reference(layout, 4, 100.0, 16, 2679)
+@pytest.mark.parametrize("cells, pairs_per_cell, batch_size", [(1, 4, 16), (3, 13, 5), (7, 8, 50)])
+def test_sample_batch_draws_five_doubles_per_pair(cells, pairs_per_cell, batch_size):
+    # one rng.random call of B * C * n * 5 doubles, whatever the draws are
+    rng, want = np.random.default_rng(cells), np.random.default_rng(cells)
+    sample_batch(build_hex_layout(cells, 500.0), pairs_per_cell, 100.0, batch_size, rng)
+    want.random(batch_size * cells * pairs_per_cell * 5)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -346,8 +247,7 @@ def test_sample_batch_unit_whose_first_round_accepts_nothing():
     [(math.nan, 100.0), (-1.0, 100.0), (1e308, 100.0), (500.0, math.inf), (500.0, math.nan)],
 )
 def test_sample_batch_rejects_ranges_uniform_draws_cannot_span(radius, dmax):
-    # no candidate of a NaN or negative radius is ever accepted, so the
-    # sampler would grow its pool forever; rng.uniform refused these ranges
+    # a NaN, negative or overflowing radius or dmax has no uniform draw
     layout = CellLayout(np.zeros((1, 2)), radius)
     with pytest.raises(ConfigurationError):
         sample_batch(layout, 4, dmax, 2, np.random.default_rng(0))
