@@ -258,12 +258,37 @@ def _work_buffers(work: dict, n: int, width: int, dtype: str) -> list:
     return [b[:n] for b in bufs]
 
 
+def _activate(layer, a, y, idx: int, inv_std=None, keep_a: bool = True) -> np.ndarray:
+    """Write y = sigmoid(s * a_hat + z) per row block and return y. a_hat
+    is a, each block first scaled in place by inv_std where given. Each
+    block's s * a_hat + z, checked finite (NumericError naming layer idx),
+    goes through one row-block buffer, or into a itself unless keep_a."""
+    hpre = None
+    for a_b, y_b in _row_blocks(a, y):
+        if inv_std is not None:
+            a_b *= inv_std
+        if keep_a and hpre is None:
+            hpre = np.empty_like(a_b)  # the first block is the largest
+        h_b = hpre[: len(a_b)] if keep_a else a_b
+        np.multiply(layer.s, a_b, out=h_b)
+        h_b += layer.z
+        if not _all_finite(h_b):
+            raise NumericError(f"non-finite activation in layer {idx}", layer=idx)
+        _sigmoid(h_b, out=y_b)
+    return y
+
+
 @dataclass
 class _LayerCache:
-    x_in: np.ndarray
+    """One layer's train-mode intermediates. x_in is layer 0's input (None
+    elsewhere: a later layer's input is the previous entry's y). y is the
+    output, kept for a layer of one row block and for the last two layers;
+    otherwise it is None until backward recomputes it from a_hat."""
+
+    x_in: np.ndarray | None
     a_hat: np.ndarray
     inv_std: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     clip_mask: np.ndarray | None = None
 
 
@@ -277,12 +302,14 @@ def forward(
     """Map coordinate rows [B, input_size] to powers [B, output_size] dBm.
 
     Returns (p_dbm, cache); the cache holds the intermediates backward()
-    needs and is only built in train mode (None in infer mode). backward
-    consumes it: it empties the list and overwrites its y and a_hat. Train
-    mode requires B >= 2 (per-feature variance over the batch) and, when
-    stats is given, refreshes the running statistics once every layer
-    has passed its checks: a NumericError leaves them as they were. The
-    layers compute in config.dtype; p_dbm is a new float64 array.
+    needs and is only built in train mode (None in infer mode): each
+    layer's a_hat, and its y only where the layer is one row block or one
+    of the last two (backward recomputes the rest from a_hat, bit for
+    bit). backward consumes it: it empties the list and overwrites its y
+    and a_hat. Train mode requires B >= 2 (per-feature variance over the
+    batch) and, when stats is given, refreshes the running statistics once
+    every layer has passed its checks: a NumericError leaves them as they
+    were. The layers compute in config.dtype; p_dbm is a new float64 array.
 
     work, infer mode only, is a caller-owned dict (empty at first) that
     keeps two layer buffers per width for the next call to write into
@@ -309,41 +336,33 @@ def forward(
     moments = []
     last = len(params.layers) - 1
     h = x
-    scratch = None
     for idx, layer in enumerate(params.layers):
         if work is None:
             a = h @ layer.w
         else:
             a, y = _work_buffers(work, len(h), layer.w.shape[1], cfg.dtype)
             np.matmul(h, layer.w, out=a)
-            scratch = a  # infer mode reads each a_hat element only before its hpre
         if not _all_finite(a):
             raise NumericError(f"non-finite pre-activation in layer {idx}", layer=idx)
-        if work is None and (scratch is None or scratch.shape != a.shape):
-            scratch = np.empty_like(a)
-        # a becomes a_hat in place; scratch holds a*a, then hpre, then exp(-|hpre|);
-        # elementwise steps run per row block, reductions on whole arrays
+        # a becomes a_hat in place; elementwise steps run per row block,
+        # reductions on whole arrays
         if train:
+            # h, a hidden y that no entry keeps, is dead once a = h @ W is
+            # written; y takes its buffer and holds (a - mu)**2 first
+            y = h if idx and cache[-1].y is None else np.empty_like(a)
             mu = _mean0(a)
-            for a_b, s_b in _row_blocks(a, scratch):
+            for a_b, y_b in _row_blocks(a, y):
                 a_b -= mu
-                np.square(a_b, out=s_b)
-            var = _mean0(scratch)  # a.var(axis=0), bit for bit
+                np.square(a_b, out=y_b)
+            var = _mean0(y)  # a.var(axis=0), bit for bit
             moments.append((mu, var))
             inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
         else:
             a -= stats.mean[idx]
             inv_std = stats.inv_std(idx, cfg.bn_epsilon)
-        if work is None:
-            y = np.empty_like(a)
-        for a_b, s_b, y_b in _row_blocks(a, scratch, y):
-            a_b *= inv_std
-            np.multiply(layer.s, a_b, out=s_b)  # hpre
-            s_b += layer.z
-            if not _all_finite(s_b):
-                raise NumericError(f"non-finite activation in layer {idx}", layer=idx)
-            _sigmoid(s_b, out=y_b)
-        del a_b, s_b, y_b  # block views would keep this a and scratch alive past the next y
+            if work is None:
+                y = np.empty_like(a)
+        _activate(layer, a, y, idx, inv_std, keep_a=train)  # infer mode needs no a_hat
         clip_mask = None
         if idx == last:
             y64 = np.asarray(y, dtype=np.float64)
@@ -352,7 +371,8 @@ def forward(
                 clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
             out = out * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if train:
-            cache.append(_LayerCache(h, a, inv_std, y, clip_mask))
+            keep = a.size <= _BLOCK or idx >= last - 1
+            cache.append(_LayerCache(None if idx else x, a, inv_std, y if keep else None, clip_mask))
         h = y
     if train and stats is not None:  # every layer passed its checks
         m = stats.momentum
@@ -374,8 +394,10 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
 
     The cache is single-use: backward pops each layer's entry, takes its
     dead y as scratch and a square layer's dead a_hat for the next d_y, so
-    beyond the gradient it allocates one layer array. A used or empty
-    cache raises ValueError.
+    beyond the gradient it allocates one layer array and a row block. A
+    y the cache does not keep, layer i-1's, is recomputed from its a_hat
+    into layer i's dead scratch for layer i's weight gradient, and then
+    serves as layer i-1's y. A used or empty cache raises ValueError.
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
@@ -409,7 +431,10 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
             d_b -= d_mean
             d_b -= np.multiply(a_b, m2, out=s_b)
             d_b *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
-        np.matmul(c.x_in.T, d_y, out=g.w)
+        if idx and cache[-1].y is None:  # layer idx-1's y, into this layer's dead scratch
+            prev = cache[-1]
+            prev.y = _activate(params.layers[idx - 1], prev.a_hat, scratch, idx - 1)
+        np.matmul((cache[-1].y if idx else c.x_in).T, d_y, out=g.w)
         if idx:  # a_hat is dead: a square layer's takes the next d_y
             square = c.a_hat.shape[1] == len(layer.w)
             d_y = np.matmul(d_y, layer.w.T, out=c.a_hat if square else None)

@@ -375,9 +375,11 @@ def _check_against_reference(cfg, params, x, d_out):
             out, cache = forward(params, x, "train", stats if with_stats else None)
             ref_out, ref_cache = ref.forward(params, x, "train", ref_stats if with_stats else None)
             assert np.array_equal(out, ref_out)
-            for got, want in zip(cache, ref_cache):
-                for name, arr in want.items():
-                    assert np.array_equal(getattr(got, name), arr), name
+            for got, want in zip(cache, ref_cache):  # every array an entry still holds
+                held = {name: arr for name, arr in vars(got).items() if arr is not None}
+                assert {"a_hat", "inv_std"} <= held.keys()
+                for name, arr in held.items():
+                    assert np.array_equal(arr, want[name]), name
             grads = backward(params, cache, d_out)
             assert np.array_equal(grads.flat, ref.backward(params, ref_cache, d_out).flat)
             for got, want in zip(stats.mean + stats.var, ref_stats.mean + ref_stats.var):
@@ -560,14 +562,15 @@ def test_backward_rejects_a_used_cache():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
     # every dead y is the next scratch and every dead hidden a_hat the next
-    # d_y, so beyond the gradient only the d_y out of the output layer is new
+    # d_y, so beyond the gradient only the d_y out of the output layer and
+    # the row block that recomputes a y are new
     cfg = NetworkConfig(width=256, depth=3, output_size=4, dtype=dtype)
     rng = np.random.default_rng(30)
     params = init_params(cfg, rng)
     x = rng.uniform(-1000, 1000, (1024, 4))
     out, cache = forward(params, x, "train", None)
     d_out = rng.normal(0.0, 1e-2, out.shape)
-    layer_bytes = cache[1].y.nbytes
+    layer_bytes = cache[1].a_hat.nbytes
     tracemalloc.start()
     try:
         grads = backward(params, cache, d_out)
@@ -575,6 +578,37 @@ def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
     finally:
         tracemalloc.stop()
     assert peak < grads.flat.nbytes + 1.5 * layer_bytes
+
+
+def test_train_forward_peak_memory_is_the_a_hat_cache_and_two_outputs():
+    # 1024 rows of 256-wide layers, four row blocks each: the cache keeps
+    # every a_hat but only the last hidden y, and an output the cache does
+    # not keep lends its buffer to the next; keeping every y took 2 * depth + 1
+    cfg = NetworkConfig(width=256, depth=5, output_size=4)
+    rng = np.random.default_rng(31)
+    params = init_params(cfg, rng)
+    x = rng.uniform(-1000, 1000, (1024, 4))
+    tracemalloc.start()
+    try:
+        out, cache = forward(params, x, "train", None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (cfg.depth + 2.5) * cache[1].a_hat.nbytes
+
+
+@pytest.mark.parametrize("width", [64, 256])
+def test_cache_keeps_an_output_backward_cannot_recompute_cheaply(width):
+    # 1024 rows: a 64-wide layer fits one row block, so every y is kept and
+    # backward recomputes nothing; a 256-wide net keeps the last hidden y,
+    # the output layer's input, and the output layer's own
+    cfg = NetworkConfig(width=width, depth=3, output_size=4)
+    rng = np.random.default_rng(32)
+    params = init_params(cfg, rng)
+    _, cache = forward(params, rng.uniform(-1000, 1000, (1024, 4)), "train", None)
+    kept = [c.y is not None for c in cache]
+    assert kept == ([True] * 4 if width == 64 else [False, False, True, True])
+    assert cache[0].x_in is not None and all(c.x_in is None for c in cache[1:])
 
 
 @given(scale=st.floats(0.1, 1e4))
