@@ -6,8 +6,8 @@ Target: held-out spectral efficiency around 3.3 bits/s/Hz. On CPU this
 is a very long run: every iteration pushes 2800 rows through eight
 1500-wide layers, forward and backward. The config computes in float32
 (network.dtype, the precision of the paper's TensorFlow model), which
-measured 2.1-2.6 s per iteration (median 2.4 s over 3 runs, one BLAS
-thread, a shared 2-core x86 VM), about 2.8 days for 100k iterations.
+measured 1.96 and 2.06 s per iteration (two runs, one BLAS thread, a
+shared 2-core x86 VM), about 2.3-2.4 days for 100k iterations.
 Checkpoints stay float64 on disk. Use --iters to down-scale for a smoke
 run.
 

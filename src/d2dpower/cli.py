@@ -211,7 +211,7 @@ def cmd_oracle(args) -> int:
     from .channel import build_gain_table
     from .evaluation import oracle_direct_opt, oracle_grid_search
     from .network import forward
-    from .objective import stacked_cost
+    from .objective import POWER_CEIL_DBM, POWER_FLOOR_DBM, stacked_cost
     from .topology import build_hex_layout, sample_drop
 
     topo = cfg.topology()
@@ -223,7 +223,7 @@ def cmd_oracle(args) -> int:
     drop = sample_drop(layout, topo.pairs_per_cell, topo.dmax_m, rng)
     gains = build_gain_table(drop, channel, rng, n)
 
-    levels = np.linspace(-150.0, 20.0, cfg.evaluation["oracle_levels"])
+    levels = np.linspace(POWER_FLOOR_DBM, POWER_CEIL_DBM, cfg.evaluation["oracle_levels"])
     _, grid_cost = oracle_grid_search(gains, constraints, channel.noise_dbw, levels, n)
     _, direct_cost = oracle_direct_opt(
         gains,

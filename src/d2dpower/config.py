@@ -4,7 +4,9 @@ The config file is a JSON tree with the sections below. Unknown keys are
 rejected anywhere in the tree; omitted keys take the defaults, which
 mirror the reference full-scale setup (1500-wide, 7-deep network, batch
 50, 100k iterations, learning rate 1e-4, 500 m cells, 8 pairs per cell,
-8 channels, 0.25 W power cap, -130 dBW noise floor).
+8 channels, 0.25 W power cap, -130 dBW noise floor). Each default is
+written once, as a field default of the typed config the section builds;
+only the evaluation section, which has none, is a literal here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .channel import ChannelParams
 from .errors import ConfigurationError
@@ -21,52 +23,30 @@ from .objective import ConstraintConfig
 from .topology import TopologyConfig
 from .training import TrainConfig
 
+
+def _field_defaults(cls, *skip) -> dict:
+    """The default of each field of dataclass cls that has one, by name,
+    less the fields named in skip."""
+    return {
+        f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in skip
+    }
+
+
 DEFAULTS = {
-    "seed": 0,
+    "seed": TrainConfig.seed,
     "out_dir": "out",
     "threads": None,
-    "topology": {
-        "cells": 7,
-        "radius_m": 500.0,
-        "pairs_per_cell": 8,
-        "dmax_m": 100.0,
-    },
-    "channel": {
-        "l1_db": 30.0,
-        "l2_db": 40.0,
-        "d0_m": 1.0,
-        "shadow_sigma_db": 8.0,
-        "shadowing_enabled": True,
-        "per_channel_shadowing": False,
-        "noise_dbw": -130.0,
-        "enb_l1_db": None,
-        "enb_l2_db": None,
-    },
+    "topology": _field_defaults(TopologyConfig),
+    "channel": _field_defaults(ChannelParams),
+    # the input size is fixed by the pair coordinates; the output size is
+    # the channel count, and the running-statistics momentum a training field
     "network": {
-        "width": 1500,
-        "depth": 7,
-        "n_channels": 8,
-        "bn_epsilon": 1e-5,
-        "bn_momentum": 0.99,
-        "out_min_dbm": -150.0,
-        "out_max_dbm": 20.0,
-        "dtype": "float64",
-    },
-    "constraints": {
-        "p_max_w": 0.25,
-        "q_max_dbw": -130.0,
-        "c_p": 10.0,
-        "c_if": 10.0,
-    },
-    "training": {
-        "n_epoch": 100_000,
-        "batch_size": 50,
-        "lr": 1e-4,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_epsilon": 1e-8,
-        "log_every": 1,
-    },
+        "n_channels" if k == "output_size" else k: v
+        for k, v in _field_defaults(NetworkConfig, "input_size").items()
+    } | {"bn_momentum": TrainConfig.bn_momentum},
+    "constraints": _field_defaults(ConstraintConfig),
+    "training": _field_defaults(TrainConfig, "seed", "bn_momentum"),
+    # the one section with no typed config
     "evaluation": {
         "n_drops": 1000,
         "grid_step_m": 10.0,

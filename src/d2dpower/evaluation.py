@@ -125,8 +125,8 @@ def power_map(
     params: NetworkParams,
     stats: BatchNormStats,
     layout: CellLayout,
-    grid_step: float = 10.0,
-    rx_offset: float = 50.0,
+    grid_step: float,
+    rx_offset: float,
 ) -> PowerMapRaster:
     """Sweep a probe pair over the layout and record its mean output power.
 

@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
+from .objective import POWER_CEIL_DBM, POWER_FLOOR_DBM
 
 # Final sigmoid outputs are clipped into [_CLIP, 1 - _CLIP] before
 # rescaling: a saturated sigmoid rounds to exactly 1.0, which would emit
@@ -57,13 +58,13 @@ _HEADER = struct.Struct("<8sI" + "".join(_HEADER_FIELDS.values()))
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    width: int
-    depth: int
-    output_size: int
+    width: int = 1500
+    depth: int = 7
+    output_size: int = 8
     input_size: int = 4
     bn_epsilon: float = 1e-5
-    out_min_dbm: float = -150.0
-    out_max_dbm: float = 20.0
+    out_min_dbm: float = POWER_FLOOR_DBM
+    out_max_dbm: float = POWER_CEIL_DBM
     dtype: str = "float64"  # of the parameters, gradients and layer buffers
 
     def __post_init__(self):
@@ -193,7 +194,9 @@ def init_params(config: NetworkConfig, rng) -> NetworkParams:
     return params
 
 
-def init_stats(config: NetworkConfig, momentum: float = 0.99) -> BatchNormStats:
+def init_stats(
+    config: NetworkConfig, momentum: float = BatchNormStats.momentum
+) -> BatchNormStats:
     if not 0.0 < momentum < 1.0:
         raise ConfigurationError(f"momentum must be in (0, 1), got {momentum}")
     sizes = [fan_out for _, fan_out in config.layer_sizes()]

@@ -60,7 +60,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    bn_momentum: float = 0.99
+    bn_momentum: float = BatchNormStats.momentum
     seed: int = 0
     log_every: int = 1
 
@@ -102,9 +102,9 @@ class MetricsRecord(NamedTuple):
 def init_adam(
     params: NetworkParams,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    beta1: float = TrainConfig.beta1,
+    beta2: float = TrainConfig.beta2,
+    epsilon: float = TrainConfig.adam_epsilon,
 ) -> AdamState:
     # Python floats: under NEP 50 an np.float64 would promote float32 steps
     return AdamState(

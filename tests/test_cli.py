@@ -308,6 +308,26 @@ def test_every_null_default_is_nullable():
     assert sorted(null_keys(DEFAULTS)) == sorted(config._NULLABLE)
 
 
+def test_resolved_defaults_are_pinned():
+    # the schema is derived from the typed configs' field defaults; this
+    # literal is what fails when a key is dropped, renamed or retyped
+    want = (
+        '{"channel": {"d0_m": 1.0, "enb_l1_db": null, "enb_l2_db": null, "l1_db": 30.0, '
+        '"l2_db": 40.0, "noise_dbw": -130.0, "per_channel_shadowing": false, '
+        '"shadow_sigma_db": 8.0, "shadowing_enabled": true}, '
+        '"constraints": {"c_if": 10.0, "c_p": 10.0, "p_max_w": 0.25, "q_max_dbw": -130.0}, '
+        '"evaluation": {"grid_step_m": 10.0, "n_drops": 1000, "oracle_direct_iters": 2000, '
+        '"oracle_direct_lr": 2.0, "oracle_levels": 35, "rx_offset_m": 50.0}, '
+        '"network": {"bn_epsilon": 1e-05, "bn_momentum": 0.99, "depth": 7, "dtype": "float64", '
+        '"n_channels": 8, "out_max_dbm": 20.0, "out_min_dbm": -150.0, "width": 1500}, '
+        '"out_dir": "out", "seed": 0, "threads": null, '
+        '"topology": {"cells": 7, "dmax_m": 100.0, "pairs_per_cell": 8, "radius_m": 500.0}, '
+        '"training": {"adam_epsilon": 1e-08, "batch_size": 50, "beta1": 0.9, "beta2": 0.999, '
+        '"log_every": 1, "lr": 0.0001, "n_epoch": 100000}}'
+    )
+    assert json.dumps(parse_config({}).resolved, sort_keys=True) == want
+
+
 @pytest.mark.parametrize("source", ["config", "flag", "env"])
 def test_negative_seed_rejected(tmp_path, source):
     # numpy's generator used to raise a ValueError after the output

@@ -157,12 +157,12 @@ def test_power_map_workspace_matches_plain_forward(monkeypatch):
     stats = init_stats(cfg)
     forward(params, rng.uniform(-1500, 1500, (32, 4)), "train", stats)  # non-trivial statistics
     layout = build_hex_layout(7, 500.0)
-    got = power_map(params, stats, layout, grid_step=10.0)
+    got = power_map(params, stats, layout, grid_step=10.0, rx_offset=50.0)
     assert np.isfinite(got.values).sum() > 5 * 8192
     monkeypatch.setattr(
         evaluation, "forward", lambda p, x, mode, s, work: forward(p, x, mode, s)
     )
-    want = power_map(params, stats, layout, grid_step=10.0)
+    want = power_map(params, stats, layout, grid_step=10.0, rx_offset=50.0)
     assert np.array_equal(got.values, want.values, equal_nan=True)
 
 
