@@ -45,6 +45,12 @@ _CLIP = 1e-12
 # whole array, so the bits do not depend on it.
 _BLOCK = 64 * 1500
 
+# Entries per chunk of an Adam step (training.adam_stepper): the chunk of
+# each of the five vectors it touches, plus two temporaries, stays in a
+# core's L2 cache. backward hands a step the gradient in runs of at least
+# this many entries, so a net of fewer takes one step per iteration.
+_ADAM_BLOCK = 1 << 16
+
 _MAGIC = b"D2DPWNET"
 _FORMAT_VERSION = 1
 # The checkpoint header: the magic and the format version, then these
@@ -123,21 +129,33 @@ class NetworkParams:
 
     def __post_init__(self):
         sizes = self.config.layer_sizes()
-        n = sum((fan_in + 2) * fan_out for fan_in, fan_out in sizes)
+        offsets = _layer_offsets(sizes)
+        n = offsets[-1]
         if self.flat is None:
             flat = np.zeros(n, dtype=self.config.dtype)
         else:
             flat = np.ascontiguousarray(self.flat, dtype=self.config.dtype)
             if flat.shape != (n,):
                 raise ShapeError(f"expected a flat parameter vector of {n}, got {flat.shape}")
-        layers = []
-        off = 0
-        for fan_in, fan_out in sizes:
-            w, s, z = off, off + fan_in * fan_out, off + (fan_in + 1) * fan_out
-            off = z + fan_out
-            layers.append(LayerParams(flat[w:s].reshape(fan_in, fan_out), flat[s:z], flat[z:off]))
+        layers = tuple(_layer_views(flat, off, *size) for off, size in zip(offsets, sizes))
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "layers", layers)
+
+
+def _layer_offsets(sizes) -> list[int]:
+    """Each layer's first entry in NetworkParams.flat, given
+    config.layer_sizes(), and then the vector's length."""
+    offsets = [0]
+    for fan_in, fan_out in sizes:
+        offsets.append(offsets[-1] + (fan_in + 2) * fan_out)
+    return offsets
+
+
+def _layer_views(flat: np.ndarray, start: int, fan_in: int, fan_out: int) -> LayerParams:
+    """Views of a fan_in x fan_out layer's W, s and z laid out in flat from start."""
+    s = start + fan_in * fan_out
+    z = s + fan_out
+    return LayerParams(flat[start:s].reshape(fan_in, fan_out), flat[s:z], flat[z : z + fan_out])
 
 
 @dataclass
@@ -386,35 +404,70 @@ def forward(
     return out, cache
 
 
-def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
+def _step_runs(offsets: list[int]) -> list[tuple[int, int, int]]:
+    """The runs of consecutive layers whose gradients backward hands a
+    step, top run first, as (lowest layer, first entry, end) in flat; given
+    _layer_offsets. Counting down from the output layer, a run closes once
+    it holds at least _ADAM_BLOCK entries, and at layer 0."""
+    runs, end = [], offsets[-1]
+    for idx in range(len(offsets) - 2, -1, -1):
+        if end - offsets[idx] >= _ADAM_BLOCK or idx == 0:
+            runs.append((idx, offsets[idx], end))
+            end = offsets[idx]
+    return runs
+
+
+def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
     """Reverse-mode derivative of a scalar cost through a train-mode
-    forward pass, given d(cost)/d(p_dbm); the gradient has the layout of
-    params.
+    forward pass, given d(cost)/d(p_dbm).
 
     Backpropagates through the output rescale, sigmoids, the learned
     scale/shift, the batch statistics themselves (mean and variance are
     functions of the batch), and the weight products.
 
+    Without step it returns the gradient, with the layout of params. With
+    step it returns None and never holds the whole gradient: each layer's
+    W/s/z gradient goes into one flat buffer of the largest run (see
+    _step_runs), laid out as in params.flat from the run's first entry lo,
+    and once the run's lowest layer has passed on its d_y, which read the
+    weights from before the step, backward calls step(lo, g) with the
+    run's gradient g. step may then update params in place: backward reads
+    no parameter of a stepped run again.
+
+    Each layer's gradient is checked as soon as it is complete, before the
+    d_y below is computed: a non-finite entry raises NumericError naming
+    that layer, the one where the fault entered (it would spread to every
+    layer below), and leaves its run unstepped.
+
     The cache is single-use: backward pops each layer's entry, takes its
     dead y as scratch and a square layer's dead a_hat for the next d_y, so
-    beyond the gradient it allocates one layer array and a row block. A
-    y the cache does not keep, layer i-1's, is recomputed from its a_hat
-    into layer i's dead scratch for layer i's weight gradient, and then
-    serves as layer i-1's y. A used or empty cache raises ValueError.
+    beyond the gradient or run buffer it allocates one layer array and a
+    row block. A y the cache does not keep, layer i-1's, is recomputed
+    from its a_hat into layer i's dead scratch for layer i's weight
+    gradient, and then serves as layer i-1's y. A used or empty cache
+    raises ValueError.
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
     last = len(params.layers) - 1
     if cache is None or len(cache) != last + 1:
         raise ValueError("backward needs a fresh train-mode cache: a cache is single-use")
-    grads = NetworkParams(cfg)
+    offsets = _layer_offsets(cfg.layer_sizes())
+    if step is None:
+        grads = NetworkParams(cfg)
+        buf, runs = grads.flat, [(0, 0, offsets[-1])]
+    else:
+        grads, runs = None, _step_runs(offsets)
+        buf = np.empty(max(end - lo for _, lo, end in runs), cfg.dtype)
+    runs = iter(runs)
+    first, lo, end = next(runs)
     # d_y is owned here: d_h, d_ahat and d_a are built in it in place, in
     # the operation order of the textbook formulas, so the bits match them
     d_y = np.multiply(np.asarray(d_out, dtype=cfg.dtype), scale)
     d_y *= cache[last].clip_mask
     for idx in range(last, -1, -1):
         layer = params.layers[idx]
-        g = grads.layers[idx]
+        g = _layer_views(buf, offsets[idx] - lo, *layer.w.shape)
         c = cache.pop()
         scratch = c.y  # y is read for the last time before scratch is first written
         # elementwise steps run per row block; the column sums and means
@@ -434,13 +487,20 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray) -> NetworkParams:
             d_b -= d_mean
             d_b -= np.multiply(a_b, m2, out=s_b)
             d_b *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
+        del d_b, a_b, s_b  # else their views keep this d_y alive through the step below
         if idx and cache[-1].y is None:  # layer idx-1's y, into this layer's dead scratch
             prev = cache[-1]
             prev.y = _activate(params.layers[idx - 1], prev.a_hat, scratch, idx - 1)
         np.matmul((cache[-1].y if idx else c.x_in).T, d_y, out=g.w)
+        if not _all_finite(buf[offsets[idx] - lo : offsets[idx + 1] - lo]):
+            raise NumericError(f"non-finite gradient in layer {idx}", layer=idx)
         if idx:  # a_hat is dead: a square layer's takes the next d_y
             square = c.a_hat.shape[1] == len(layer.w)
             d_y = np.matmul(d_y, layer.w.T, out=c.a_hat if square else None)
+        if step is not None and idx == first:
+            step(lo, buf[: end - lo])
+            if idx:
+                first, lo, end = next(runs)
     return grads
 
 

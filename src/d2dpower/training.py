@@ -18,6 +18,7 @@ import numpy as np
 from .channel import ChannelParams, GainTable, build_gain_table
 from .errors import ConfigurationError, NumericDivergenceError, NumericError
 from .network import (
+    _ADAM_BLOCK,
     BatchNormStats,
     NetworkConfig,
     NetworkParams,
@@ -28,11 +29,6 @@ from .network import (
 )
 from .objective import ConstraintConfig, StackedCost, stacked_cost
 from .topology import Drop, TopologyConfig, build_hex_layout, flatten_batch, sample_batch
-
-# Entries per chunk of an Adam step: the chunk of each of the five
-# vectors it touches, plus two temporaries, stays in a core's L2 cache.
-_ADAM_BLOCK = 1 << 16
-
 
 @dataclass
 class AdamState:
@@ -117,40 +113,60 @@ def init_adam(
     )
 
 
-def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams):
-    """One bias-corrected Adam update; returns (new_params, state).
+def adam_stepper(state: AdamState, flat: np.ndarray):
+    """Return step(lo, g), which takes state's next bias-corrected Adam
+    step on flat[lo:lo + len(g)] and the same entries of the moments, in
+    place, given their gradient g.
 
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t). The moments are updated in
-    place; params is left untouched. The update runs over chunks of
-    _ADAM_BLOCK entries, each through every step while it is in cache;
-    every entry's arithmetic is the same as over the whole vectors.
+    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t). The first call advances
+    state.t, once per stepper, so the calls must cover each entry at most
+    once, and a stepper never called leaves state as it was. step runs
+    over chunks of _ADAM_BLOCK entries, each through every operation while
+    it is in cache; every entry's arithmetic is the same as over the whole
+    vectors, however the calls split flat.
     """
-    state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
-    new = np.empty_like(params.flat)
-    tmp = np.empty(min(new.size, _ADAM_BLOCK), new.dtype)
-    denom = np.empty_like(tmp)
-    for i in range(0, new.size, _ADAM_BLOCK):
-        block = slice(i, i + _ADAM_BLOCK)
-        g, m, v = grads.flat[block], state.m[block], state.v[block]
-        step, d = tmp[: len(g)], denom[: len(g)]
-        np.multiply(1.0 - state.beta1, g, out=step)
-        m *= state.beta1
-        m += step
-        np.multiply(1.0 - state.beta2, g, out=step)
-        step *= g
-        v *= state.beta2
-        v += step
-        np.divide(m, c1, out=step)
-        step *= state.lr
-        np.divide(v, c2, out=d)
-        np.sqrt(d, out=d)
-        d += state.epsilon
-        step /= d
-        np.subtract(params.flat[block], step, out=new[block])
+    c1 = c2 = None
+
+    def step(lo: int, g: np.ndarray) -> None:
+        nonlocal c1, c2
+        if c1 is None:
+            state.t += 1
+            c1 = 1.0 - state.beta1**state.t
+            c2 = 1.0 - state.beta2**state.t
+        run = slice(lo, lo + len(g))
+        theta, m_run, v_run = flat[run], state.m[run], state.v[run]
+        tmp = np.empty(min(len(g), _ADAM_BLOCK), flat.dtype)
+        denom = np.empty_like(tmp)
+        for i in range(0, len(g), _ADAM_BLOCK):
+            block = slice(i, i + _ADAM_BLOCK)
+            g_b, m, v, p = g[block], m_run[block], v_run[block], theta[block]
+            upd, d = tmp[: len(g_b)], denom[: len(g_b)]
+            np.multiply(1.0 - state.beta1, g_b, out=upd)
+            m *= state.beta1
+            m += upd
+            np.multiply(1.0 - state.beta2, g_b, out=upd)
+            upd *= g_b
+            v *= state.beta2
+            v += upd
+            np.divide(m, c1, out=upd)
+            upd *= state.lr
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += state.epsilon
+            upd /= d
+            p -= upd
+
+    return step
+
+
+def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams):
+    """One adam_stepper step over the whole vector; returns
+    (new_params, state). The moments are updated in place; params is left
+    untouched."""
+    new = params.flat.copy()
+    adam_stepper(state, new)(0, grads.flat)
     return NetworkParams(params.config, new), state
 
 
@@ -162,6 +178,7 @@ def cost_and_grad(
     constraints: ConstraintConfig,
     noise_dbw: float,
     want_grad: bool = True,
+    step=None,
 ):
     """Mean train-mode batch cost and, if want_grad, its exact gradient
     with respect to every network parameter (batch statistics included).
@@ -169,7 +186,11 @@ def cost_and_grad(
     drops is a [B, K, 4] stack and gains its stacked GainTable; stacked_cost
     raises ShapeError when the two do not match. Returns
     (cost, grads_or_None, StackedCost); a non-finite gradient raises
-    NumericError naming the first layer that holds one.
+    NumericError naming the layer where it entered (see network.backward).
+
+    With step (an adam_stepper step), backward hands it the gradient run
+    by run instead of returning it (grads is None), and runs only if the
+    cost is finite: the caller checks the cost.
     """
     x = flatten_batch(drops)
     p_flat, cache = forward(params, x, "train", stats)
@@ -181,15 +202,9 @@ def cost_and_grad(
     )
     cost = float(comp.total.mean())
     grads = None
-    if want_grad:
+    if want_grad and (step is None or np.isfinite(cost)):
         d_p = (comp.grad_p_dbm / bn).reshape(bn * k, n)
-        grads = backward(params, cache, d_p)
-        if not np.isfinite(grads.flat).all():
-            idx = next(
-                i for i, layer in enumerate(grads.layers)
-                if not all(np.isfinite(a).all() for a in (layer.w, layer.s, layer.z))
-            )
-            raise NumericError(f"non-finite gradient in layer {idx}", layer=idx)
+        grads = backward(params, cache, d_p, step)
     return cost, grads, comp
 
 
@@ -240,8 +255,13 @@ def train(cfg: TrainConfig):
 
     Returns (params, stats, metrics) where metrics holds one MetricsRecord
     per logged iteration: the first, every cfg.log_every-th after it, and
-    the last. A non-finite cost aborts with NumericDivergenceError
-    carrying the iteration index.
+    the last. Each iteration's Adam step runs inside backward, run by run
+    (see network.backward), on the parameters and moments in place, so no
+    whole-network gradient or second parameter vector is ever held. A
+    non-finite cost aborts with NumericDivergenceError carrying the
+    iteration index before any run is stepped, the parameters and Adam
+    state as they were; a non-finite gradient aborts with it too, and
+    leaves the runs above the failing layer's stepped.
     """
     rng = np.random.default_rng(cfg.seed)
     layout = build_hex_layout(cfg.topology.cells, cfg.topology.radius_m)
@@ -259,8 +279,9 @@ def train(cfg: TrainConfig):
         )
         gains = build_gain_table(drops, cfg.channel, rng, n)
         try:
-            cost, grads, comp = cost_and_grad(
-                params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw
+            cost, _, comp = cost_and_grad(
+                params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw,
+                step=adam_stepper(adam, params.flat),
             )
         except NumericError as e:
             raise NumericDivergenceError(
@@ -268,8 +289,6 @@ def train(cfg: TrainConfig):
             ) from e
         if not np.isfinite(cost):
             raise NumericDivergenceError(iteration)
-        params, adam = adam_step(adam, params, grads)
-        del grads  # else it stays alive through the next forward and backward
         if (iteration - 1) % cfg.log_every == 0 or iteration == cfg.n_epoch:
             metrics.append(
                 MetricsRecord(

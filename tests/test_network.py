@@ -560,6 +560,44 @@ def test_backward_rejects_a_used_cache():
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_backward_hands_each_run_to_step_after_its_weights_are_read(dtype):
+    # 1024 rows of 256-wide layers: backward recomputes hidden outputs, and
+    # the runs are layers 2-3, 1 and 0. A step that moves its run's
+    # parameters at once leaves every gradient as backward without a step
+    # gives it, since no pass reads a stepped run's parameters again
+    cfg, params, x, d_out = _shape_case((256, 3, 4, 1024), saturate=False, dtype=dtype)
+    want = backward(params, forward(params, x, "train", None)[1], d_out)
+    runs = []
+
+    def step(lo, g):
+        runs.append((lo, g.copy()))
+        params.flat[lo : lo + len(g)] += 1.0
+
+    assert backward(params, forward(params, x, "train", None)[1], d_out, step) is None
+    sizes = [layer.w.size + layer.s.size + layer.z.size for layer in params.layers]
+    assert [lo for lo, _ in runs] == [sizes[0] + sizes[1], sizes[0], 0]
+    assert np.array_equal(np.concatenate([g for _, g in reversed(runs)]), want.flat)
+
+
+@pytest.mark.parametrize("with_step", [False, True])
+def test_backward_names_the_layer_a_non_finite_gradient_enters(with_step):
+    # a NaN in layer 1's 1/sqrt(var + eps) reaches layer 1's weight
+    # gradient and everything below it: both modes name layer 1, and with
+    # a step the run of layers 2 and 3 above is stepped, layer 1's is not
+    cfg, params, x, d_out = _shape_case((256, 3, 4, 1024), saturate=False)
+    _, cache = forward(params, x, "train", None)
+    cache[1].inv_std = cache[1].inv_std.copy()
+    cache[1].inv_std[0] = np.nan
+    steps = []
+    step = (lambda lo, g: steps.append(lo)) if with_step else None
+    with pytest.raises(NumericError, match="non-finite gradient in layer 1") as err:
+        backward(params, cache, d_out, step)
+    assert err.value.layer == 1
+    sizes = [layer.w.size + layer.s.size + layer.z.size for layer in params.layers]
+    assert steps == ([sizes[0] + sizes[1]] if with_step else [])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
     # every dead y is the next scratch and every dead hidden a_hat the next
     # d_y, so beyond the gradient only the d_y out of the output layer and

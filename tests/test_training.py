@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import training_reference as ref
 
-from d2dpower import training
+from d2dpower import network, training
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table
 from d2dpower.errors import ConfigurationError, NumericDivergenceError, NumericError, ShapeError
 from d2dpower.network import (
@@ -192,15 +192,18 @@ def test_grad_batch_cost_misaligned_tables():
 
 
 def test_non_finite_gradient_names_its_layer(monkeypatch):
+    # a NaN in layer 1's 1/sqrt(var + eps) reaches layer 1's gradient and
+    # every layer below it; backward names the layer it entered
     params, batch, gains = _small_setup(seed=7)
-    real_backward = training.backward
+    real_forward = training.forward
 
     def nan_in_layer_1(*args):
-        grads = real_backward(*args)
-        grads.layers[1].s[0] = np.nan
-        return grads
+        out, cache = real_forward(*args)
+        cache[1].inv_std = cache[1].inv_std.copy()
+        cache[1].inv_std[0] = np.nan
+        return out, cache
 
-    monkeypatch.setattr(training, "backward", nan_in_layer_1)
+    monkeypatch.setattr(training, "forward", nan_in_layer_1)
     with pytest.raises(NumericError) as err:
         cost_and_grad(params, None, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw)
     assert err.value.layer == 1
@@ -239,6 +242,147 @@ def test_train_frees_each_gradient_before_the_next_iteration():
     traced_peak(1)  # one-time allocations (caches, lazy imports) out of the way
     vector_bytes = init_params(net, np.random.default_rng(0)).flat.nbytes
     assert traced_peak(3) - traced_peak(1) < vector_bytes / 2
+
+
+class _Probe:
+    """Records, through monkeypatch, the parameters and Adam state train
+    makes, the initial parameters, and each step call as (t, lo, len(g)),
+    t read after the step."""
+
+    def __init__(self, monkeypatch):
+        self.params = self.initial = self.adam = None
+        self.steps = []
+        real_init_params = training.init_params
+        real_init_adam = training.init_adam
+        real_stepper = training.adam_stepper
+
+        def init_params(*args):
+            self.params = real_init_params(*args)
+            self.initial = self.params.flat.copy()
+            return self.params
+
+        def init_adam(*args):
+            self.adam = real_init_adam(*args)
+            return self.adam
+
+        def adam_stepper(state, flat):
+            step = real_stepper(state, flat)
+
+            def logged(lo, g):
+                step(lo, g)
+                self.steps.append((state.t, lo, len(g)))
+
+            return logged
+
+        monkeypatch.setattr(training, "init_params", init_params)
+        monkeypatch.setattr(training, "init_adam", init_adam)
+        monkeypatch.setattr(training, "adam_stepper", adam_stepper)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize(
+    "width, n_channels, runs", [(64, 4, 1), (256, 2, 3)], ids=["desk_one_run", "wide_three_runs"]
+)
+def test_train_steps_adam_inside_backward_as_a_two_phase_loop(
+    monkeypatch, dtype, width, n_channels, runs
+):
+    # the desk net's 9,096 entries are one run; a 256-wide hidden layer
+    # holds 66,048 >= _ADAM_BLOCK entries, so each is a run, the output
+    # layer's 516 joining the last one
+    cfg = _tiny_train_config(
+        network=NetworkConfig(width=width, depth=3, output_size=n_channels, dtype=dtype),
+        topology=TopologyConfig(cells=1, radius_m=500.0, pairs_per_cell=4, dmax_m=100.0),
+        n_epoch=5,
+        batch_size=16,
+    )
+    want_params, want_stats, want_metrics, want_adam = ref.train(cfg)
+    probe = _Probe(monkeypatch)
+    params, stats, metrics = train(cfg)
+    assert params.flat.dtype == np.dtype(dtype)
+    assert np.array_equal(params.flat, want_params.flat)
+    assert probe.adam.t == want_adam.t == cfg.n_epoch
+    assert np.array_equal(probe.adam.m, want_adam.m)
+    assert np.array_equal(probe.adam.v, want_adam.v)
+    for got, want in zip(stats.mean + stats.var, want_stats.mean + want_stats.var):
+        assert np.array_equal(got, want)
+    assert metrics == want_metrics
+    for t in range(1, cfg.n_epoch + 1):
+        spans = [(lo, lo + n) for step_t, lo, n in probe.steps if step_t == t]
+        assert len(spans) == runs
+        # top run first, and together they cover the vector once
+        assert [end for _, end in spans] == [params.flat.size] + [lo for lo, _ in spans[:-1]]
+        assert spans[-1][0] == 0
+
+
+def test_train_holds_no_whole_gradient_or_second_parameter_vector():
+    # 400 rows of 256-wide float64 layers, two row blocks each, so backward
+    # recomputes the hidden outputs as at full scale. Beyond the parameters
+    # and moments an iteration holds the a_hat cache, two layer arrays (a
+    # d_y and a y), one run buffer (the top run: the last hidden layer and
+    # the output layer), and the larger of the row block that recomputes a
+    # y and the Adam step's two chunk temporaries; a two-phase loop's whole
+    # gradient and new parameter vector do not fit in that
+    net = NetworkConfig(width=256, depth=3, output_size=2)
+    cfg = _tiny_train_config(network=net, n_epoch=1, batch_size=200)
+    train(cfg)  # one-time allocations (caches, lazy imports) out of the way
+    tracemalloc.start()
+    try:
+        params, _, _ = train(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = params.flat.itemsize
+    rows = cfg.batch_size * cfg.topology.pairs_per_cell
+    a_hat_cache = sum(rows * fan_out * item for _, fan_out in net.layer_sizes())
+    layer = rows * net.width * item
+    run = (net.width + 2) * (net.width + net.output_size) * item
+    transient = max(network._BLOCK, 2 * training._ADAM_BLOCK) * item
+    assert peak - 3 * params.flat.nbytes < a_hat_cache + 2 * layer + run + transient
+
+
+def _layer_start(params, idx):
+    """Layer idx's first entry in params.flat."""
+    return sum(layer.w.size + layer.s.size + layer.z.size for layer in params.layers[:idx])
+
+
+def test_non_finite_gradient_aborts_train_with_its_run_unstepped(monkeypatch):
+    # a NaN in layer 1's 1/sqrt(var + eps) reaches layer 1's weight
+    # gradient and everything below it; the run of layers 2 and 3 above is
+    # finite and stepped first, layer 1's run raises before its step
+    cfg = _tiny_train_config(network=NetworkConfig(width=256, depth=3, output_size=2))
+    probe = _Probe(monkeypatch)
+    real_forward = training.forward
+
+    def nan_in_layer_1(*args):
+        out, cache = real_forward(*args)
+        cache[1].inv_std = cache[1].inv_std.copy()
+        cache[1].inv_std[0] = np.nan
+        return out, cache
+
+    monkeypatch.setattr(training, "forward", nan_in_layer_1)
+    with pytest.raises(NumericDivergenceError, match="non-finite gradient in layer 1") as err:
+        train(cfg)
+    assert err.value.iteration == 1
+    assert err.value.__cause__.layer == 1
+    lo = _layer_start(probe.params, 2)
+    assert probe.steps == [(1, lo, probe.params.flat.size - lo)]
+    assert np.array_equal(probe.params.flat[:lo], probe.initial[:lo])
+    assert (probe.params.flat[lo:] != probe.initial[lo:]).all()
+
+
+def test_train_checks_the_cost_before_any_step(monkeypatch):
+    # the divergence setup of test_train_aborts_on_divergence
+    cfg = _tiny_train_config(
+        channel=ChannelParams(shadowing_enabled=False, noise_dbw=-100_000.0),
+        topology=TopologyConfig(cells=1, radius_m=500.0, pairs_per_cell=1, dmax_m=100.0),
+    )
+    probe = _Probe(monkeypatch)
+    with pytest.raises(NumericDivergenceError, match="non-finite cost at iteration 1"):
+        train(cfg)
+    assert probe.steps == []
+    assert np.array_equal(probe.params.flat, probe.initial)
+    assert probe.adam.t == 0
+    assert not probe.adam.m.any() and not probe.adam.v.any()
 
 
 def test_train_deterministic_for_fixed_seed():
