@@ -33,7 +33,10 @@ from .topology import (  # noqa: F401
 
 _GRID_SEARCH_BUDGET = 10_000_000
 _GRID_CHUNK = 65_536
+# drops per draw from the stream, and rows per forward and cost sub-chunk
+# (which bounds the layer buffers and the [B, K, K, N] cost tensors)
 _EVAL_CHUNK = 512
+_EVAL_ROWS = 2048
 
 
 class EvalReport(NamedTuple):
@@ -82,7 +85,14 @@ def evaluate(
     rng,
 ) -> EvalReport:
     """Sample n_drops fresh drops, run infer-mode forward passes, and
-    aggregate spectral efficiency, power totals, and cap-exceedance rates."""
+    aggregate spectral efficiency, power totals, and cap-exceedance rates.
+
+    Drops and gains are drawn in stream chunks of _EVAL_CHUNK drops; the
+    network and the cost run on sub-chunks of at most _EVAL_ROWS rows, or
+    one drop where a drop has more pairs. Every row and drop is computed
+    alone, and the powers are summed per stream chunk, so the report does
+    not depend on the sub-chunk size.
+    """
     if n_drops < 1:
         raise ValueError(f"n_drops must be >= 1, got {n_drops}")
     n = params.config.output_size
@@ -93,22 +103,28 @@ def evaluate(
     q_hits = 0
     q_entries = 0
     q_w = constraints.q_max_w
-    work = {}  # the layer buffers every chunk's forward reuses
+    work = {}  # the layer buffers every sub-chunk's forward reuses
+    step = max(1, _EVAL_ROWS // k)  # drops per sub-chunk
     done = 0
     while done < n_drops:
         m = min(_EVAL_CHUNK, n_drops - done)
         drops = sample_batch(layout, pairs_per_cell, dmax, m, rng)
         gains = build_gain_table(drops, channel, rng, n)
-        p_flat, _ = forward(params, flatten_batch(drops), "infer", stats, work=work)
-        comp = stacked_cost(
-            p_flat.reshape(m, k, n), gains.g_d2d_db, gains.g_enb_db, constraints,
-            channel.noise_dbw,
-        )
-        etas.append(comp.sum_throughput / (k * n))
-        power_sums += float(comp.total_power_w.sum())
-        pmax_hits += int((comp.total_power_w > constraints.p_max_w).sum())
-        q_hits += int((comp.enb_interference_w > q_w).sum())
-        q_entries += comp.enb_interference_w.size
+        x = flatten_batch(drops)
+        powers = np.empty((m, k))  # each pair's total power, summed per stream chunk
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            p_flat, _ = forward(params, x[lo * k : hi * k], "infer", stats, work=work)
+            comp = stacked_cost(
+                p_flat.reshape(hi - lo, k, n), gains.g_d2d_db[lo:hi], gains.g_enb_db[lo:hi],
+                constraints, channel.noise_dbw,
+            )
+            etas.append(comp.sum_throughput / (k * n))
+            powers[lo:hi] = comp.total_power_w
+            q_hits += int((comp.enb_interference_w > q_w).sum())
+            q_entries += comp.enb_interference_w.size
+        power_sums += float(powers.sum())
+        pmax_hits += int((powers > constraints.p_max_w).sum())
         done += m
     eta = np.concatenate(etas)
     return EvalReport(

@@ -304,13 +304,18 @@ class _LayerCache:
     """One layer's train-mode intermediates. x_in is layer 0's input (None
     elsewhere: a later layer's input is the previous entry's y). y is the
     output, kept for a layer of one row block and for the last two layers;
-    otherwise it is None until backward recomputes it from a_hat."""
+    otherwise it is None until backward recomputes it from a_hat. a_hat is
+    kept for every layer but a layer 0 of more than one row block, whose
+    entry holds its batch mean mu instead (mu is None elsewhere): its
+    a_hat is None until backward rebuilds it from x_in, mu and inv_std,
+    at the cost of a matmul of input_size terms per entry."""
 
     x_in: np.ndarray | None
-    a_hat: np.ndarray
+    a_hat: np.ndarray | None
     inv_std: np.ndarray
     y: np.ndarray | None
     clip_mask: np.ndarray | None = None
+    mu: np.ndarray | None = None
 
 
 def forward(
@@ -326,11 +331,14 @@ def forward(
     needs and is only built in train mode (None in infer mode): each
     layer's a_hat, and its y only where the layer is one row block or one
     of the last two (backward recomputes the rest from a_hat, bit for
-    bit). backward consumes it: it empties the list and overwrites its y
-    and a_hat. Train mode requires B >= 2 (per-feature variance over the
-    batch) and, when stats is given, refreshes the running statistics once
-    every layer has passed its checks: a NumericError leaves them as they
-    were. The layers compute in config.dtype; p_dbm is a new float64 array.
+    bit). Layer 0's a_hat is kept only where it is one row block; a larger
+    one is rebuilt in backward from the input, the batch mean and inv_std,
+    with the operations that built it here. backward consumes the cache:
+    it empties the list and overwrites its y and a_hat. Train mode
+    requires B >= 2 (per-feature variance over the batch) and, when stats
+    is given, refreshes the running statistics once every layer has passed
+    its checks: a NumericError leaves them as they were. The layers
+    compute in config.dtype; p_dbm is a new float64 array.
 
     work, infer mode only, is a caller-owned dict (empty at first) that
     keeps two layer buffers per width for the next call to write into
@@ -383,7 +391,9 @@ def forward(
             inv_std = stats.inv_std(idx, cfg.bn_epsilon)
             if work is None:
                 y = np.empty_like(a)
-        _activate(layer, a, y, idx, inv_std, keep_a=train)  # infer mode needs no a_hat
+        # infer mode needs no a_hat, nor does a layer 0 that backward rebuilds
+        keep_a = train and (idx > 0 or a.size <= _BLOCK)
+        _activate(layer, a, y, idx, inv_std, keep_a=keep_a)
         clip_mask = None
         if idx == last:
             y64 = np.asarray(y, dtype=np.float64)
@@ -392,8 +402,11 @@ def forward(
                 clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
             out = out * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if train:
-            keep = a.size <= _BLOCK or idx >= last - 1
-            cache.append(_LayerCache(None if idx else x, a, inv_std, y if keep else None, clip_mask))
+            keep_y = a.size <= _BLOCK or idx >= last - 1
+            cache.append(_LayerCache(
+                None if idx else x, a if keep_a else None, inv_std, y if keep_y else None,
+                clip_mask, None if keep_a else mu,
+            ))
         h = y
     if train and stats is not None:  # every layer passed its checks
         m = stats.momentum
@@ -444,8 +457,11 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
     beyond the gradient or run buffer it allocates one layer array and a
     row block. A y the cache does not keep, layer i-1's, is recomputed
     from its a_hat into layer i's dead scratch for layer i's weight
-    gradient, and then serves as layer i-1's y. A used or empty cache
-    raises ValueError.
+    gradient, and then serves as layer i-1's y. A layer 0 a_hat the cache
+    does not keep is rebuilt at layer 1, before that recompute, into a new
+    layer array: (x_in @ W - mu) * inv_std, with forward's operations on
+    weights not yet stepped, so bit for bit. A used or empty cache raises
+    ValueError.
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
@@ -488,6 +504,13 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
             d_b -= np.multiply(a_b, m2, out=s_b)
             d_b *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
         del d_b, a_b, s_b  # else their views keep this d_y alive through the step below
+        if idx == 1 and cache[0].a_hat is None:  # layer 0's, as forward built it
+            first_layer = cache[0]
+            a = first_layer.x_in @ params.layers[0].w  # layer 0's run is stepped last
+            for (a_b,) in _row_blocks(a):
+                a_b -= first_layer.mu
+                a_b *= first_layer.inv_std
+            first_layer.a_hat = a
         if idx and cache[-1].y is None:  # layer idx-1's y, into this layer's dead scratch
             prev = cache[-1]
             prev.y = _activate(params.layers[idx - 1], prev.a_hat, scratch, idx - 1)

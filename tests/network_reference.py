@@ -31,7 +31,8 @@ def masked_sigmoid(x):
 
 def forward(params, x, mode="train", stats=None):
     """Return (p_dbm, cache), cache a list of per-layer dicts with the keys
-    x_in, a_hat, inv_std, y, clip_mask (train mode only)."""
+    x_in, mu (the batch mean), a_hat, inv_std, y, clip_mask (train mode
+    only)."""
     cfg = params.config
     x = np.asarray(x, dtype=cfg.dtype)
     cache = [] if mode == "train" else None
@@ -61,7 +62,9 @@ def forward(params, x, mode="train", stats=None):
             clip_mask = (y64 > CLIP) & (y64 < 1.0 - CLIP)
             out = y_clipped * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if cache is not None:
-            cache.append(dict(x_in=h, a_hat=a_hat, inv_std=inv_std, y=y, clip_mask=clip_mask))
+            cache.append(
+                dict(x_in=h, mu=mu, a_hat=a_hat, inv_std=inv_std, y=y, clip_mask=clip_mask)
+            )
         h = y
     return out, cache
 

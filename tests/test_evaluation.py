@@ -124,6 +124,43 @@ def test_evaluate_matches_a_chunk_by_chunk_loop(dtype):
     assert 0.0 < got.pmax_violation_rate < 1.0 and 0.0 < got.q_exceed_rate < 1.0
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_evaluate_sub_chunks_match_whole_stream_chunks(dtype, monkeypatch):
+    # the full-scale layout, 56 pairs a drop: 80 drops are one stream chunk
+    # but three sub-chunks of 36, 36 and 8 drops; the report equals the one
+    # from a forward and a cost over the whole stream chunk
+    cfg = NetworkConfig(width=16, depth=2, output_size=8, dtype=dtype)
+    rng = np.random.default_rng(7)
+    params = init_params(cfg, rng)
+    stats = init_stats(cfg)
+    forward(params, rng.uniform(-1500, 1500, (64, 4)), "train", stats)  # non-trivial statistics
+    layout, pairs, n_drops = build_hex_layout(7, 500.0), 8, 80
+    k = pairs * layout.cell_count
+    rows = []
+
+    def counted(p, x, mode, s, work):
+        rows.append(len(x))
+        return forward(p, x, mode, s, work=work)
+
+    monkeypatch.setattr(evaluation, "forward", counted)
+
+    def report():
+        return evaluate(
+            params, stats, layout, ChannelParams(),
+            ConstraintConfig(p_max_w=1.4e-6, q_max_dbw=-200.0), pairs_per_cell=pairs,
+            dmax=100.0, n_drops=n_drops, rng=np.random.default_rng(45),
+        )
+
+    got = report()
+    assert rows == [36 * k, 36 * k, 8 * k]
+    rows.clear()
+    monkeypatch.setattr(evaluation, "_EVAL_ROWS", _EVAL_CHUNK * k)
+    want = report()
+    assert rows == [n_drops * k]
+    assert got == want
+    assert 0.0 < got.pmax_violation_rate < 1.0 and 0.0 < got.q_exceed_rate < 1.0
+
+
 def test_power_map_constant_network_is_flat():
     params, stats = _constant_net()
     layout = build_hex_layout(1, 500.0)

@@ -377,7 +377,8 @@ def _check_against_reference(cfg, params, x, d_out):
             assert np.array_equal(out, ref_out)
             for got, want in zip(cache, ref_cache):  # every array an entry still holds
                 held = {name: arr for name, arr in vars(got).items() if arr is not None}
-                assert {"a_hat", "inv_std"} <= held.keys()
+                rebuilt = got is cache[0] and len(x) * cfg.width > network._BLOCK  # layer 0's a_hat
+                assert {"inv_std"} | ({"mu", "x_in"} if rebuilt else {"a_hat"}) <= held.keys()
                 for name, arr in held.items():
                     assert np.array_equal(arr, want[name]), name
             grads = backward(params, cache, d_out)
@@ -647,6 +648,42 @@ def test_cache_keeps_an_output_backward_cannot_recompute_cheaply(width):
     kept = [c.y is not None for c in cache]
     assert kept == ([True] * 4 if width == 64 else [False, False, True, True])
     assert cache[0].x_in is not None and all(c.x_in is None for c in cache[1:])
+
+
+# (width, depth, outputs, rows) of the first-layer a_hat cases: the desk
+# net, then 24-wide layers of exactly one row block, of one row more, and
+# of three full blocks and a ragged one
+_FIRST_LAYER_SHAPES = {
+    "desk": _SHAPES["desk"],
+    "one_block": (24, 2, 24, network._BLOCK // 24),
+    "one_row_more": (24, 2, 24, network._BLOCK // 24 + 1),
+    "three_block": (24, 2, 24, 3 * (network._BLOCK // 24) + 5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FIRST_LAYER_SHAPES))
+def test_first_layer_keeps_a_hat_only_where_it_is_one_row_block(shape):
+    # a larger one is rebuilt in backward from x_in, its batch mean and
+    # inv_std; every other layer keeps its a_hat and holds no mean
+    cfg, params, x, _ = _shape_case(_FIRST_LAYER_SHAPES[shape], saturate=False)
+    _, cache = forward(params, x, "train", None)
+    one_block = len(x) * cfg.width <= network._BLOCK
+    assert one_block == (shape in ("desk", "one_block"))
+    assert (cache[0].a_hat is not None) == one_block
+    assert (cache[0].mu is None) == one_block
+    assert cache[0].x_in is not None
+    assert all(c.a_hat is not None and c.mu is None for c in cache[1:])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_first_layer_a_hat_is_rebuilt_where_its_y_is_kept(dtype):
+    # one hidden layer: layer 0 is one of the last two, so backward does not
+    # recompute its y but still rebuilds its a_hat of three row blocks
+    shape = (24, 1, 24, 3 * (network._BLOCK // 24) + 5)
+    cfg, params, x, d_out = _shape_case(shape, saturate=False, dtype=dtype)
+    _, cache = forward(params, x, "train", None)
+    assert cache[0].y is not None and cache[0].a_hat is None
+    _check_against_reference(cfg, params, x, d_out)
 
 
 @given(scale=st.floats(0.1, 1e4))
