@@ -41,8 +41,8 @@ _CLIP = 1e-12
 # Elements per row block of the elementwise passes in forward and
 # backward, and per Xavier draw: 64 rows of a 1500-wide layer, so a block
 # of each array a pass touches stays in a core's L2 cache, and more rows
-# of a narrower one. Each pass computes every element exactly as on the
-# whole array, so the bits do not depend on it.
+# of a narrower one. The bits do not depend on it, each pass computing
+# every element as on the whole array, nor does what the train cache keeps.
 _BLOCK = 64 * 1500
 
 # Entries per chunk of an Adam step (training.adam_stepper): the chunk of
@@ -301,13 +301,14 @@ def _activate(layer, a, y, idx: int, inv_std=None, keep_a: bool = True) -> np.nd
 
 @dataclass
 class _LayerCache:
-    """One layer's train-mode intermediates. x_in is layer 0's input (None
-    elsewhere: a later layer's input is the previous entry's y). y is the
-    output, kept for a layer of one row block and for the last two layers;
-    otherwise it is None until backward recomputes it from a_hat. a_hat is
-    kept for every layer but a layer 0 of more than one row block, whose
-    entry holds its batch mean mu instead (mu is None elsewhere): its
-    a_hat is None until backward rebuilds it from x_in, mu and inv_std,
+    """One layer's train-mode intermediates, chosen by layer position
+    alone. x_in is layer 0's input (None elsewhere: a later layer's input
+    is the previous entry's y). y is the output, kept for the last two
+    layers only (the last hidden y is the output layer's input, and backward
+    has no layer-wide scratch there to recompute it into); below them it is
+    None until backward recomputes it from a_hat. a_hat is kept for every
+    layer but layer 0, whose entry holds its batch mean mu instead (mu is
+    None elsewhere): backward rebuilds its a_hat from x_in, mu and inv_std,
     at the cost of a matmul of input_size terms per entry."""
 
     x_in: np.ndarray | None
@@ -328,12 +329,12 @@ def forward(
     """Map coordinate rows [B, input_size] to powers [B, output_size] dBm.
 
     Returns (p_dbm, cache); the cache holds the intermediates backward()
-    needs and is only built in train mode (None in infer mode): each
-    layer's a_hat, and its y only where the layer is one row block or one
-    of the last two (backward recomputes the rest from a_hat, bit for
-    bit). Layer 0's a_hat is kept only where it is one row block; a larger
-    one is rebuilt in backward from the input, the batch mean and inv_std,
-    with the operations that built it here. backward consumes the cache:
+    needs and is only built in train mode (None in infer mode), by layer
+    position alone (see _LayerCache): the a_hat of every layer above layer
+    0, and the y of the last two only (backward recomputes the rest from
+    a_hat, bit for bit). Layer 0's a_hat is rebuilt in backward from the
+    input, the batch mean and inv_std, with the operations that built it
+    here. backward consumes the cache:
     it empties the list and overwrites its y and a_hat. Train mode
     requires B >= 2 (per-feature variance over the batch) and, when stats
     is given, refreshes the running statistics once every layer has passed
@@ -391,9 +392,8 @@ def forward(
             inv_std = stats.inv_std(idx, cfg.bn_epsilon)
             if work is None:
                 y = np.empty_like(a)
-        # infer mode needs no a_hat, nor does a layer 0 that backward rebuilds
-        keep_a = train and (idx > 0 or a.size <= _BLOCK)
-        _activate(layer, a, y, idx, inv_std, keep_a=keep_a)
+        # infer mode needs no a_hat, nor does layer 0: backward rebuilds it
+        _activate(layer, a, y, idx, inv_std, keep_a=train and idx > 0)
         clip_mask = None
         if idx == last:
             y64 = np.asarray(y, dtype=np.float64)
@@ -402,10 +402,9 @@ def forward(
                 clip_mask = (y64 > _CLIP) & (y64 < 1.0 - _CLIP)
             out = out * (cfg.out_max_dbm - cfg.out_min_dbm) + cfg.out_min_dbm
         if train:
-            keep_y = a.size <= _BLOCK or idx >= last - 1
             cache.append(_LayerCache(
-                None if idx else x, a if keep_a else None, inv_std, y if keep_y else None,
-                clip_mask, None if keep_a else mu,
+                None if idx else x, a if idx else None, inv_std,
+                y if idx >= last - 1 else None, clip_mask, None if idx else mu,
             ))
         h = y
     if train and stats is not None:  # every layer passed its checks
@@ -457,10 +456,10 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
     beyond the gradient or run buffer it allocates one layer array and a
     row block. A y the cache does not keep, layer i-1's, is recomputed
     from its a_hat into layer i's dead scratch for layer i's weight
-    gradient, and then serves as layer i-1's y. A layer 0 a_hat the cache
-    does not keep is rebuilt at layer 1, before that recompute, into a new
-    layer array: (x_in @ W - mu) * inv_std, with forward's operations on
-    weights not yet stepped, so bit for bit. A used or empty cache raises
+    gradient, and then serves as layer i-1's y. Layer 0's a_hat, which the
+    cache never keeps, is rebuilt at layer 1, before that recompute, into a
+    new layer array: (x_in @ W - mu) * inv_std, with forward's operations
+    on weights not yet stepped, so bit for bit. A used or empty cache raises
     ValueError.
     """
     cfg = params.config
@@ -504,7 +503,7 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
             d_b -= np.multiply(a_b, m2, out=s_b)
             d_b *= c.inv_std  # d_a = inv_std * (d_ahat - mean(d_ahat) - a_hat * m2)
         del d_b, a_b, s_b  # else their views keep this d_y alive through the step below
-        if idx == 1 and cache[0].a_hat is None:  # layer 0's, as forward built it
+        if idx == 1:  # layer 0's a_hat, as forward built it
             first_layer = cache[0]
             a = first_layer.x_in @ params.layers[0].w  # layer 0's run is stepped last
             for (a_b,) in _row_blocks(a):

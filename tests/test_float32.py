@@ -95,8 +95,8 @@ def test_float32_buffers_are_not_promoted():
     x = flatten_batch(drops)
     p, cache = forward(params, x, "train", stats)
     assert params.flat.dtype == np.float32 and p.dtype == np.float64
-    for c in cache:  # the arrays each entry holds; x_in is layer 0's only
-        held = (c.x_in, c.a_hat, c.inv_std, c.y)
+    for c in cache:  # the arrays each entry holds; x_in and mu are layer 0's only
+        held = (c.x_in, c.mu, c.a_hat, c.inv_std, c.y)
         assert {a.dtype for a in held if a is not None} == {np.dtype(np.float32)}
     # the running statistics stay float64, as on disk
     assert {a.dtype for a in stats.mean + stats.var} == {np.dtype(np.float64)}

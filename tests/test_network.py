@@ -164,9 +164,10 @@ def test_train_mode_normalizes_features():
     params = init_params(cfg, rng)
     x = rng.uniform(-1000.0, 1000.0, (32, 4))
     _, cache = forward(params, x, "train", None)
-    for entry in cache:
-        assert np.abs(entry.a_hat.mean(axis=0)).max() < 1e-6
-        assert np.abs(entry.a_hat.var(axis=0) - 1.0).max() < 1e-6
+    first = (x @ params.layers[0].w - cache[0].mu) * cache[0].inv_std  # rebuilt in backward
+    for a_hat in [first] + [entry.a_hat for entry in cache[1:]]:
+        assert np.abs(a_hat.mean(axis=0)).max() < 1e-6
+        assert np.abs(a_hat.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_train_mode_requires_two_rows():
@@ -368,6 +369,14 @@ def test_row_blocked_passes_match_unfused_reference(dtype, saturate):
     _check_against_reference(*_shape_case(shape, saturate, dtype=dtype))
 
 
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_depth_two_desk_net_matches_unfused_reference(dtype, saturate):
+    # layer 0 is below the last hidden layer: its a_hat is rebuilt and its
+    # y recomputed, both within one row block
+    _check_against_reference(*_shape_case((64, 2, 4, 64), saturate, dtype=dtype))
+
+
 def _check_against_reference(cfg, params, x, d_out):
     for with_stats in (True, False):
         stats, ref_stats = init_stats(cfg), init_stats(cfg)
@@ -375,10 +384,13 @@ def _check_against_reference(cfg, params, x, d_out):
             out, cache = forward(params, x, "train", stats if with_stats else None)
             ref_out, ref_cache = ref.forward(params, x, "train", ref_stats if with_stats else None)
             assert np.array_equal(out, ref_out)
-            for got, want in zip(cache, ref_cache):  # every array an entry still holds
+            last = len(cache) - 1
+            for idx, (got, want) in enumerate(zip(cache, ref_cache)):  # every array an entry holds
                 held = {name: arr for name, arr in vars(got).items() if arr is not None}
-                rebuilt = got is cache[0] and len(x) * cfg.width > network._BLOCK  # layer 0's a_hat
-                assert {"inv_std"} | ({"mu", "x_in"} if rebuilt else {"a_hat"}) <= held.keys()
+                expect = {"inv_std"} | ({"x_in", "mu"} if idx == 0 else {"a_hat"})
+                expect |= {"y"} if idx >= last - 1 else set()  # the output layer's input and output
+                expect |= {"clip_mask"} if idx == last else set()
+                assert held.keys() == expect, idx
                 for name, arr in held.items():
                     assert np.array_equal(arr, want[name]), name
             grads = backward(params, cache, d_out)
@@ -638,15 +650,15 @@ def test_train_forward_peak_memory_is_the_a_hat_cache_and_two_outputs():
 
 @pytest.mark.parametrize("width", [64, 256])
 def test_cache_keeps_an_output_backward_cannot_recompute_cheaply(width):
-    # 1024 rows: a 64-wide layer fits one row block, so every y is kept and
-    # backward recomputes nothing; a 256-wide net keeps the last hidden y,
-    # the output layer's input, and the output layer's own
+    # 1024 rows, of one row block at width 64 and four at 256: either net
+    # keeps the last hidden y, the output layer's input, and the output
+    # layer's own, and nothing else
     cfg = NetworkConfig(width=width, depth=3, output_size=4)
     rng = np.random.default_rng(32)
     params = init_params(cfg, rng)
     _, cache = forward(params, rng.uniform(-1000, 1000, (1024, 4)), "train", None)
     kept = [c.y is not None for c in cache]
-    assert kept == ([True] * 4 if width == 64 else [False, False, True, True])
+    assert kept == [False, False, True, True]
     assert cache[0].x_in is not None and all(c.x_in is None for c in cache[1:])
 
 
@@ -662,28 +674,29 @@ _FIRST_LAYER_SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(_FIRST_LAYER_SHAPES))
-def test_first_layer_keeps_a_hat_only_where_it_is_one_row_block(shape):
-    # a larger one is rebuilt in backward from x_in, its batch mean and
-    # inv_std; every other layer keeps its a_hat and holds no mean
-    cfg, params, x, _ = _shape_case(_FIRST_LAYER_SHAPES[shape], saturate=False)
+def test_first_layer_keeps_its_input_and_mean_and_no_a_hat(shape):
+    # at every size its a_hat is rebuilt in backward from x_in, its batch
+    # mean and inv_std; every other layer keeps its a_hat and holds no mean
+    _, params, x, _ = _shape_case(_FIRST_LAYER_SHAPES[shape], saturate=False)
     _, cache = forward(params, x, "train", None)
-    one_block = len(x) * cfg.width <= network._BLOCK
-    assert one_block == (shape in ("desk", "one_block"))
-    assert (cache[0].a_hat is not None) == one_block
-    assert (cache[0].mu is None) == one_block
-    assert cache[0].x_in is not None
+    assert cache[0].a_hat is None
+    assert cache[0].x_in is not None and cache[0].mu is not None
     assert all(c.a_hat is not None and c.mu is None for c in cache[1:])
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_first_layer_a_hat_is_rebuilt_where_its_y_is_kept(dtype):
+def test_first_layer_a_hat_is_rebuilt_where_its_y_is_kept(dtype, monkeypatch):
     # one hidden layer: layer 0 is one of the last two, so backward does not
-    # recompute its y but still rebuilds its a_hat of three row blocks
-    shape = (24, 1, 24, 3 * (network._BLOCK // 24) + 5)
-    cfg, params, x, d_out = _shape_case(shape, saturate=False, dtype=dtype)
-    _, cache = forward(params, x, "train", None)
-    assert cache[0].y is not None and cache[0].a_hat is None
-    _check_against_reference(cfg, params, x, d_out)
+    # recompute its y but still rebuilds its a_hat, of one row block and of
+    # three full ones and a ragged one
+    for rows in (network._BLOCK // 24, 3 * (network._BLOCK // 24) + 5):
+        cfg, params, x, d_out = _shape_case((24, 1, 24, rows), saturate=False, dtype=dtype)
+        _, cache = forward(params, x, "train", None)
+        assert cache[0].y is not None and cache[0].a_hat is None
+        with monkeypatch.context() as m:
+            m.setattr(network, "_activate", lambda *a, **k: pytest.fail("a y was recomputed"))
+            backward(params, cache, d_out)
+        _check_against_reference(cfg, params, x, d_out)
 
 
 @given(scale=st.floats(0.1, 1e4))
