@@ -30,6 +30,7 @@ from .objective import (
 from .topology import (  # noqa: F401
     CellLayout, flatten_batch, points_in_hexagon, sample_batch, sample_drop,
 )
+from .training import AdamState, adam_stepper
 
 _GRID_SEARCH_BUDGET = 10_000_000
 _GRID_CHUNK = 65_536
@@ -244,24 +245,20 @@ def oracle_direct_opt(
     (no network), starting from -65 dBm everywhere and projecting every
     entry onto [-150, 20] dBm after each step.
 
-    Steps are Adam-style (per-entry adaptive): the cost gradient with
-    respect to a dBm entry scales with its linear power, so a fixed-step
-    descent starting at -65 dBm would need ~1e7 iterations to move at
-    all. lr is therefore roughly the per-iteration travel in dB.
+    Steps are Adam's (training.adam_stepper, epsilon 1e-12), adaptive per
+    entry: the cost gradient with respect to a dBm entry scales with its
+    linear power, so a fixed-step descent starting at -65 dBm would need
+    ~1e7 iterations to move at all. lr is therefore roughly the
+    per-iteration travel in dB.
     """
     g_d2d = np.asarray(gains.g_d2d_db, dtype=float)[None]
     g_enb = np.asarray(gains.g_enb_db, dtype=float)[None]
     k = g_d2d.shape[1]
     p = np.full((k, n_channels), -65.0)
-    beta1, beta2, eps = 0.9, 0.999, 1e-12
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
-    for t in range(1, iters + 1):
+    adam = AdamState(lr, np.zeros(p.size), np.zeros(p.size), 0.9, 0.999, epsilon=1e-12)
+    for _ in range(iters):
         comp = stacked_cost(p[None], g_d2d, g_enb, cfg, noise_dbw, want_grad=True)
-        g = comp.grad_p_dbm[0]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        step = lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
-        p = np.clip(p - step, POWER_FLOOR_DBM, POWER_CEIL_DBM)
+        adam_stepper(adam, p.reshape(-1))(0, comp.grad_p_dbm.reshape(-1))
+        np.clip(p, POWER_FLOOR_DBM, POWER_CEIL_DBM, out=p)
     comp = stacked_cost(p[None], g_d2d, g_enb, cfg, noise_dbw)
     return p, float(comp.total[0])

@@ -429,7 +429,7 @@ def _step_runs(offsets: list[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
+def backward(params: NetworkParams, cache, d_out: np.ndarray, step) -> None:
     """Reverse-mode derivative of a scalar cost through a train-mode
     forward pass, given d(cost)/d(p_dbm).
 
@@ -437,14 +437,14 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
     scale/shift, the batch statistics themselves (mean and variance are
     functions of the batch), and the weight products.
 
-    Without step it returns the gradient, with the layout of params. With
-    step it returns None and never holds the whole gradient: each layer's
-    W/s/z gradient goes into one flat buffer of the largest run (see
-    _step_runs), laid out as in params.flat from the run's first entry lo,
-    and once the run's lowest layer has passed on its d_y, which read the
-    weights from before the step, backward calls step(lo, g) with the
-    run's gradient g. step may then update params in place: backward reads
-    no parameter of a stepped run again.
+    It never holds the whole gradient: each layer's W/s/z gradient goes
+    into one flat buffer of the largest run (see _step_runs), laid out as in
+    params.flat from the run's first entry lo, and once the run's lowest
+    layer has passed on its d_y, which read the weights from before the
+    step, backward calls step(lo, g) with the run's gradient g. step may
+    then update params in place: backward reads no parameter of a stepped
+    run again. A caller that wants the whole gradient passes a step that
+    copies each run out.
 
     Each layer's gradient is checked as soon as it is complete, before the
     d_y below is computed: a non-finite entry raises NumericError naming
@@ -453,14 +453,13 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
 
     The cache is single-use: backward pops each layer's entry, takes its
     dead y as scratch and a square layer's dead a_hat for the next d_y, so
-    beyond the gradient or run buffer it allocates one layer array and a
-    row block. A y the cache does not keep, layer i-1's, is recomputed
-    from its a_hat into layer i's dead scratch for layer i's weight
-    gradient, and then serves as layer i-1's y. Layer 0's a_hat, which the
-    cache never keeps, is rebuilt at layer 1, before that recompute, into a
-    new layer array: (x_in @ W - mu) * inv_std, with forward's operations
-    on weights not yet stepped, so bit for bit. A used or empty cache raises
-    ValueError.
+    beyond the run buffer it allocates one layer array and a row block. A
+    y the cache does not keep, layer i-1's, is recomputed from its a_hat
+    into layer i's dead scratch for layer i's weight gradient, and then
+    serves as layer i-1's y. Layer 0's a_hat, which the cache never keeps,
+    is rebuilt at layer 1, before that recompute, into a new layer array:
+    (x_in @ W - mu) * inv_std, with forward's operations on weights not yet
+    stepped, so bit for bit. A used or empty cache raises ValueError.
     """
     cfg = params.config
     scale = cfg.out_max_dbm - cfg.out_min_dbm
@@ -468,12 +467,8 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
     if cache is None or len(cache) != last + 1:
         raise ValueError("backward needs a fresh train-mode cache: a cache is single-use")
     offsets = _layer_offsets(cfg.layer_sizes())
-    if step is None:
-        grads = NetworkParams(cfg)
-        buf, runs = grads.flat, [(0, 0, offsets[-1])]
-    else:
-        grads, runs = None, _step_runs(offsets)
-        buf = np.empty(max(end - lo for _, lo, end in runs), cfg.dtype)
+    runs = _step_runs(offsets)
+    buf = np.empty(max(end - lo for _, lo, end in runs), cfg.dtype)
     runs = iter(runs)
     first, lo, end = next(runs)
     # d_y is owned here: d_h, d_ahat and d_a are built in it in place, in
@@ -519,11 +514,10 @@ def backward(params: NetworkParams, cache, d_out: np.ndarray, step=None):
         if idx:  # a_hat is dead: a square layer's takes the next d_y
             square = c.a_hat.shape[1] == len(layer.w)
             d_y = np.matmul(d_y, layer.w.T, out=c.a_hat if square else None)
-        if step is not None and idx == first:
+        if idx == first:
             step(lo, buf[: end - lo])
             if idx:
                 first, lo, end = next(runs)
-    return grads
 
 
 def save_checkpoint(params: NetworkParams, stats: BatchNormStats, path) -> None:

@@ -177,20 +177,18 @@ def cost_and_grad(
     gains: GainTable,
     constraints: ConstraintConfig,
     noise_dbw: float,
-    want_grad: bool = True,
     step=None,
 ):
-    """Mean train-mode batch cost and, if want_grad, its exact gradient
-    with respect to every network parameter (batch statistics included).
+    """Mean train-mode batch cost and, given step (an adam_stepper step, or
+    any step(lo, g)), its exact gradient with respect to every network
+    parameter (batch statistics included), handed to step run by run (see
+    network.backward).
 
     drops is a [B, K, 4] stack and gains its stacked GainTable; stacked_cost
-    raises ShapeError when the two do not match. Returns
-    (cost, grads_or_None, StackedCost); a non-finite gradient raises
-    NumericError naming the layer where it entered (see network.backward).
-
-    With step (an adam_stepper step), backward hands it the gradient run
-    by run instead of returning it (grads is None), and runs only if the
-    cost is finite: the caller checks the cost.
+    raises ShapeError when the two do not match. Returns (cost,
+    StackedCost). backward runs only if the cost is finite: the caller
+    checks the cost. A non-finite gradient raises NumericError naming the
+    layer where it entered.
     """
     x = flatten_batch(drops)
     p_flat, cache = forward(params, x, "train", stats)
@@ -198,14 +196,12 @@ def cost_and_grad(
     n = params.config.output_size
     comp = stacked_cost(
         p_flat.reshape(bn, k, n), gains.g_d2d_db, gains.g_enb_db, constraints, noise_dbw,
-        want_grad=want_grad,
+        want_grad=step is not None,
     )
     cost = float(comp.total.mean())
-    grads = None
-    if want_grad and (step is None or np.isfinite(cost)):
-        d_p = (comp.grad_p_dbm / bn).reshape(bn * k, n)
-        grads = backward(params, cache, d_p, step)
-    return cost, grads, comp
+    if step is not None and np.isfinite(cost):
+        backward(params, cache, (comp.grad_p_dbm / bn).reshape(bn * k, n), step)
+    return cost, comp
 
 
 def finite_difference_check(
@@ -219,20 +215,27 @@ def finite_difference_check(
     """Compare every analytic gradient entry against central differences.
 
     Error metric per entry: |a - n| / max(1, |a| + |n|). Returns
-    (max_error, n_entries). Intended for small networks; the cost is two
-    forward passes per parameter. Runs in float64 whatever
-    params.config.dtype says: differences at h = 1e-5 mean nothing in
-    float32.
+    (max_error, n_entries); a non-finite entry error makes max_error
+    infinite, and a non-finite cost at params raises NumericError. The
+    analytic gradient comes through the step that train's Adam takes.
+    Intended for small networks; the cost is two forward passes per
+    parameter. Runs in float64 whatever params.config.dtype says:
+    differences at h = 1e-5 mean nothing in float32.
     """
     params = NetworkParams(replace(params.config, dtype="float64"), params.flat)
-    _, grads, _ = cost_and_grad(params, None, drops, gains, constraints, noise_dbw)
+    grad = np.empty_like(params.flat)
+
+    def collect(lo, g):
+        grad[lo : lo + len(g)] = g
+
+    base, _ = cost_and_grad(params, None, drops, gains, constraints, noise_dbw, step=collect)
+    if not np.isfinite(base):
+        raise NumericError(f"non-finite cost {base} at the checked parameters")
     probe = NetworkParams(params.config, params.flat.copy())
     flat = probe.flat
 
     def cost():
-        return cost_and_grad(
-            probe, None, drops, gains, constraints, noise_dbw, want_grad=False
-        )[0]
+        return cost_and_grad(probe, None, drops, gains, constraints, noise_dbw)[0]
 
     max_err = 0.0
     for i in range(flat.size):
@@ -243,10 +246,9 @@ def finite_difference_check(
         c_minus = cost()
         flat[i] = orig
         numeric = (c_plus - c_minus) / (2.0 * h)
-        analytic = grads.flat[i]
-        err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
-        if err > max_err:
-            max_err = err
+        err = abs(grad[i] - numeric) / max(1.0, abs(grad[i]) + abs(numeric))
+        if not err <= max_err:  # a NaN error fails the check too
+            max_err = err if np.isfinite(err) else np.inf
     return max_err, flat.size
 
 
@@ -279,7 +281,7 @@ def train(cfg: TrainConfig):
         )
         gains = build_gain_table(drops, cfg.channel, rng, n)
         try:
-            cost, _, comp = cost_and_grad(
+            cost, comp = cost_and_grad(
                 params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw,
                 step=adam_stepper(adam, params.flat),
             )

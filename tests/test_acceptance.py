@@ -23,7 +23,7 @@ from d2dpower.network import (
 )
 from d2dpower.objective import ConstraintConfig, stacked_cost
 from d2dpower.topology import Drop, build_hex_layout, sample_batch, sample_drop
-from d2dpower.training import adam_step, cost_and_grad, finite_difference_check, init_adam
+from d2dpower.training import adam_stepper, cost_and_grad, finite_difference_check, init_adam
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -141,11 +141,11 @@ def test_criterion_3_tiny_instance_optimality():
     # gradients quickly or the low-power output stays frozen
     adam = init_adam(params, lr=0.02, beta2=0.9)
     for _ in range(2000):
-        _, grads, _ = cost_and_grad(params, stats, batch, twice, cons, NO_SHADOW.noise_dbw)
-        params, adam = adam_step(adam, params, grads)
-    final_cost, _, _ = cost_and_grad(
-        params, None, batch, twice, cons, NO_SHADOW.noise_dbw, want_grad=False
-    )
+        cost_and_grad(
+            params, stats, batch, twice, cons, NO_SHADOW.noise_dbw,
+            step=adam_stepper(adam, params.flat),
+        )
+    final_cost, _ = cost_and_grad(params, None, batch, twice, cons, NO_SHADOW.noise_dbw)
     gap = abs(final_cost - grid_cost) / abs(grid_cost)
     elapsed = time.perf_counter() - t0
     _report(

@@ -179,6 +179,17 @@ def test_gradcheck_command(tmp_path):
     assert "PASS" in result.stdout
 
 
+def test_gradcheck_exit_code_on_a_non_finite_cost(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        channel={"shadowing_enabled": False, "noise_dbw": -100000.0},
+        topology={"cells": 1, "pairs_per_cell": 1},
+    )
+    result = run_cli("gradcheck", "--config", cfg, "--out-dir", tmp_path / "gc")
+    assert result.returncode == 4
+    assert "non-finite cost" in result.stderr
+
+
 def test_oracle_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import training_reference as ref
 
 from d2dpower import evaluation
 from d2dpower.channel import ChannelParams, build_gain_table
@@ -276,6 +277,23 @@ def test_direct_opt_unconstrained_reaches_cap():
     cfg = ConstraintConfig(c_p=0.0, c_if=0.0)
     p, _ = oracle_direct_opt(gains, cfg, NO_SHADOW.noise_dbw, 1, 1000, 1.0)
     assert p[0, 0] > 19.0
+
+
+@pytest.mark.parametrize("lr", [0.5, 2.0])
+def test_direct_opt_matches_whole_array_adam_reference(lr):
+    # drops, channel and constraints of configs/desk.json (4 pairs on 4
+    # channels, shadowing on): 300 adam_stepper steps, each clipped in
+    # place, give the whole-array formulas' powers and cost bit for bit
+    layout = build_hex_layout(1, 500.0)
+    channel = ChannelParams()
+    cfg = ConstraintConfig(q_max_dbw=-135.0, c_p=3000.0, c_if=100.0)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        gains = build_gain_table(sample_drop(layout, 4, 100.0, rng), channel, rng, 4)
+        p, cost = oracle_direct_opt(gains, cfg, channel.noise_dbw, 4, 300, lr)
+        want_p, want_cost = ref.oracle_direct_opt(gains, cfg, channel.noise_dbw, 4, 300, lr)
+        assert np.array_equal(p, want_p), seed
+        assert cost == want_cost, seed
 
 
 # The pair rows that sample_drop(build_hex_layout(1, 500.0), 2, 100.0,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import whole_gradient
 
 from d2dpower import cli
 from d2dpower.channel import build_gain_table
@@ -20,7 +21,6 @@ from d2dpower.config import load_config, parse_config
 from d2dpower.network import (
     NetworkConfig,
     NetworkParams,
-    backward,
     forward,
     init_params,
     init_stats,
@@ -28,7 +28,7 @@ from d2dpower.network import (
     save_checkpoint,
 )
 from d2dpower.topology import build_hex_layout, flatten_batch, sample_batch
-from d2dpower.training import adam_step, cost_and_grad, finite_difference_check, init_adam
+from d2dpower.training import adam_step, finite_difference_check, init_adam
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,8 +76,8 @@ def test_float32_tracks_float64(name, network):
     p64 = init_params(cfg.network(), rng)
     p32 = NetworkParams(replace(p64.config, dtype="float32"), p64.flat)
     args = (drops, gains, cfg.constraints(), cfg.channel().noise_dbw)
-    c64, g64, _ = cost_and_grad(p64, None, *args)
-    c32, g32, _ = cost_and_grad(p32, None, *args)
+    c64, g64, _ = whole_gradient.cost_and_grad(p64, None, *args)
+    c32, g32, _ = whole_gradient.cost_and_grad(p32, None, *args)
     x = flatten_batch(drops)
     out64, _ = forward(p64, x, "train")
     out32, _ = forward(p32, x, "train")
@@ -100,7 +100,7 @@ def test_float32_buffers_are_not_promoted():
         assert {a.dtype for a in held if a is not None} == {np.dtype(np.float32)}
     # the running statistics stay float64, as on disk
     assert {a.dtype for a in stats.mean + stats.var} == {np.dtype(np.float64)}
-    grads = backward(params, cache, rng.normal(size=p.shape))
+    grads = whole_gradient.backward(params, cache, rng.normal(size=p.shape))
     assert grads.flat.dtype == np.float32
     # numpy float64 hyperparameters must not promote the step either
     adam = init_adam(params, np.float64(1e-3), np.float64(0.9), np.float64(0.999))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import network_reference as ref
+import whole_gradient
 
 from d2dpower import network
 from d2dpower.errors import (
@@ -393,7 +394,7 @@ def _check_against_reference(cfg, params, x, d_out):
                 assert held.keys() == expect, idx
                 for name, arr in held.items():
                     assert np.array_equal(arr, want[name]), name
-            grads = backward(params, cache, d_out)
+            grads = whole_gradient.backward(params, cache, d_out)
             assert np.array_equal(grads.flat, ref.backward(params, ref_cache, d_out).flat)
             for got, want in zip(stats.mean + stats.var, ref_stats.mean + ref_stats.var):
                 assert np.array_equal(got, want)
@@ -551,9 +552,9 @@ def test_passes_leave_their_inputs_unchanged():
     inv_std = [entry.inv_std.copy() for entry in entries]
     clip_mask = cache[-1].clip_mask.copy()
     d_out_before = d_out.copy()
-    first = backward(params, cache, d_out)
+    first = whole_gradient.backward(params, cache, d_out)
     assert cache == []
-    second = backward(params, forward(params, x, "train", None)[1], d_out)
+    second = whole_gradient.backward(params, forward(params, x, "train", None)[1], d_out)
     assert np.array_equal(first.flat, second.flat)
     assert np.array_equal(d_out, d_out_before)
     assert np.array_equal(x, x_before)  # the first layer's cached x_in
@@ -566,20 +567,20 @@ def test_passes_leave_their_inputs_unchanged():
 def test_backward_rejects_a_used_cache():
     cfg, params, x, d_out = _shape_case(_SHAPES["desk"], saturate=False)
     _, cache = forward(params, x, "train", None)
-    backward(params, cache, d_out)
+    whole_gradient.backward(params, cache, d_out)
     for used in (cache, None):  # consumed, and infer mode's
         with pytest.raises(ValueError, match="single-use"):
-            backward(params, used, d_out)
+            whole_gradient.backward(params, used, d_out)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_backward_hands_each_run_to_step_after_its_weights_are_read(dtype):
     # 1024 rows of 256-wide layers: backward recomputes hidden outputs, and
     # the runs are layers 2-3, 1 and 0. A step that moves its run's
-    # parameters at once leaves every gradient as backward without a step
-    # gives it, since no pass reads a stepped run's parameters again
+    # parameters at once sees every gradient a step that only copies it
+    # sees, since no pass reads a stepped run's parameters again
     cfg, params, x, d_out = _shape_case((256, 3, 4, 1024), saturate=False, dtype=dtype)
-    want = backward(params, forward(params, x, "train", None)[1], d_out)
+    want = whole_gradient.backward(params, forward(params, x, "train", None)[1], d_out)
     runs = []
 
     def step(lo, g):
@@ -592,29 +593,41 @@ def test_backward_hands_each_run_to_step_after_its_weights_are_read(dtype):
     assert np.array_equal(np.concatenate([g for _, g in reversed(runs)]), want.flat)
 
 
-@pytest.mark.parametrize("with_step", [False, True])
-def test_backward_names_the_layer_a_non_finite_gradient_enters(with_step):
+@pytest.mark.parametrize("collect", [True, False])
+def test_backward_names_the_layer_a_non_finite_gradient_enters(collect):
     # a NaN in layer 1's 1/sqrt(var + eps) reaches layer 1's weight
-    # gradient and everything below it: both modes name layer 1, and with
-    # a step the run of layers 2 and 3 above is stepped, layer 1's is not
+    # gradient and everything below it: backward names layer 1, whether
+    # its step collects the whole gradient or records the runs, and the
+    # run of layers 2 and 3 above is stepped, layer 1's is not
     cfg, params, x, d_out = _shape_case((256, 3, 4, 1024), saturate=False)
     _, cache = forward(params, x, "train", None)
     cache[1].inv_std = cache[1].inv_std.copy()
     cache[1].inv_std[0] = np.nan
+    grads = NetworkParams(cfg)
+    copy = whole_gradient.collector(grads)
     steps = []
-    step = (lambda lo, g: steps.append(lo)) if with_step else None
+
+    def step(lo, g):
+        steps.append(lo)
+        if collect:
+            copy(lo, g)
+
     with pytest.raises(NumericError, match="non-finite gradient in layer 1") as err:
         backward(params, cache, d_out, step)
     assert err.value.layer == 1
     sizes = [layer.w.size + layer.s.size + layer.z.size for layer in params.layers]
-    assert steps == ([sizes[0] + sizes[1]] if with_step else [])
+    top = sizes[0] + sizes[1]
+    assert steps == [top]
+    assert not grads.flat[:top].any()  # layer 1's run never reached the step
+    assert grads.flat[top:].any() == collect
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
+def test_backward_peak_memory_is_one_layer_beyond_the_largest_run(dtype):
     # every dead y is the next scratch and every dead hidden a_hat the next
-    # d_y, so beyond the gradient only the d_y out of the output layer and
-    # the row block that recomputes a y are new
+    # d_y, so beyond the buffer of the largest run (layers 2-3, about half
+    # the gradient) only one layer array at a time, the d_y out of the
+    # output layer or layer 0's rebuilt a_hat, and a row block are new
     cfg = NetworkConfig(width=256, depth=3, output_size=4, dtype=dtype)
     rng = np.random.default_rng(30)
     params = init_params(cfg, rng)
@@ -622,13 +635,16 @@ def test_backward_peak_memory_is_one_layer_beyond_the_gradient(dtype):
     out, cache = forward(params, x, "train", None)
     d_out = rng.normal(0.0, 1e-2, out.shape)
     layer_bytes = cache[1].a_hat.nbytes
+    runs = network._step_runs(network._layer_offsets(cfg.layer_sizes()))
+    run_bytes = max(end - lo for _, lo, end in runs) * params.flat.itemsize
+    assert 2 * run_bytes < params.flat.nbytes
     tracemalloc.start()
     try:
-        grads = backward(params, cache, d_out)
+        backward(params, cache, d_out, lambda lo, g: None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < grads.flat.nbytes + 1.5 * layer_bytes
+    assert peak < run_bytes + 1.5 * layer_bytes
 
 
 def test_train_forward_peak_memory_is_the_a_hat_cache_and_two_outputs():
@@ -695,7 +711,7 @@ def test_first_layer_a_hat_is_rebuilt_where_its_y_is_kept(dtype, monkeypatch):
         assert cache[0].y is not None and cache[0].a_hat is None
         with monkeypatch.context() as m:
             m.setattr(network, "_activate", lambda *a, **k: pytest.fail("a y was recomputed"))
-            backward(params, cache, d_out)
+            whole_gradient.backward(params, cache, d_out)
         _check_against_reference(cfg, params, x, d_out)
 
 

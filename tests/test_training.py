@@ -1,12 +1,15 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import training_reference as ref
+import whole_gradient
 
-from d2dpower import network, training
+from d2dpower import cli, network, training
 from d2dpower.channel import ChannelParams, GainTable, build_gain_table
 from d2dpower.errors import ConfigurationError, NumericDivergenceError, NumericError, ShapeError
 from d2dpower.network import (
@@ -27,6 +30,7 @@ from d2dpower.training import (
 )
 
 NO_SHADOW = ChannelParams(shadowing_enabled=False)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _small_setup(seed=0, width=8, depth=2, n=2, pairs=2, bn=4, channel=NO_SHADOW):
@@ -155,11 +159,49 @@ def test_gradient_matches_with_active_penalties():
     assert err < 1e-4
 
 
+def _nan_probe_costs(monkeypatch):
+    # every cost without a gradient, each finite-difference probe's, is NaN
+    real = training.stacked_cost
+
+    def nan_probes(*args, want_grad=False):
+        comp = real(*args, want_grad=want_grad)
+        return comp if want_grad else replace(comp, total=np.full_like(comp.total, np.nan))
+
+    monkeypatch.setattr(training, "stacked_cost", nan_probes)
+
+
+def test_gradient_gate_fails_on_non_finite_probe_costs(monkeypatch):
+    # a NaN entry error must fail the gate, not drop out of the running
+    # maximum as a comparison with NaN would
+    params, batch, gains = _small_setup()
+    _nan_probe_costs(monkeypatch)
+    err, n_entries = finite_difference_check(
+        params, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw
+    )
+    assert err == np.inf and n_entries == 148
+
+
+def test_gradcheck_reports_non_finite_probe_costs_as_failing(tmp_path, monkeypatch, capsys):
+    _nan_probe_costs(monkeypatch)
+    argv = ["gradcheck", "--config", str(CONFIGS / "gradcheck.json"),
+            "--out-dir", str(tmp_path / "gc")]
+    assert cli.main(argv) == 1
+    assert "max relative error inf (FAIL" in capsys.readouterr().out
+
+
+def test_gradient_gate_rejects_a_non_finite_cost():
+    # one pair alone with its noise underflowing to zero: the cost is
+    # infinite, and there is no gradient to check
+    params, batch, gains = _small_setup(pairs=1)
+    with pytest.raises(NumericError, match="non-finite cost"):
+        finite_difference_check(params, batch, gains, ConstraintConfig(), -100000.0)
+
+
 def test_constant_objective_gives_zero_gradient():
     # huge noise floor drives every SINR (and its gradient) to zero
     params, batch, gains = _small_setup(seed=4)
     cfg = ConstraintConfig(c_p=0.0, c_if=0.0)
-    cost, grads, _ = cost_and_grad(params, None, batch, gains, cfg, noise_dbw=400.0)
+    cost, grads, _ = whole_gradient.cost_and_grad(params, None, batch, gains, cfg, 400.0)
     assert cost == pytest.approx(0.0, abs=1e-12)
     for layer in grads.layers:
         assert np.allclose(layer.w, 0.0, atol=1e-18)
@@ -170,13 +212,17 @@ def test_constant_objective_gives_zero_gradient():
 def test_duplicated_batch_leaves_cost_and_grads():
     params, batch, gains = _small_setup(seed=5)
     cfg = ConstraintConfig()
-    cost1, grads1, _ = cost_and_grad(params, None, batch, gains, cfg, NO_SHADOW.noise_dbw)
+    cost1, grads1, _ = whole_gradient.cost_and_grad(
+        params, None, batch, gains, cfg, NO_SHADOW.noise_dbw
+    )
     doubled = Drop(batch.layout, np.concatenate([batch.pairs, batch.pairs]))
     gains2 = GainTable(
         np.concatenate([gains.g_d2d_db, gains.g_d2d_db]),
         np.concatenate([gains.g_enb_db, gains.g_enb_db]),
     )
-    cost2, grads2, _ = cost_and_grad(params, None, doubled, gains2, cfg, NO_SHADOW.noise_dbw)
+    cost2, grads2, _ = whole_gradient.cost_and_grad(
+        params, None, doubled, gains2, cfg, NO_SHADOW.noise_dbw
+    )
     assert cost2 == pytest.approx(cost1, rel=1e-12)
     for a, b in zip(grads1.layers, grads2.layers):
         assert np.allclose(a.w, b.w, rtol=1e-9, atol=1e-15)
@@ -205,7 +251,9 @@ def test_non_finite_gradient_names_its_layer(monkeypatch):
 
     monkeypatch.setattr(training, "forward", nan_in_layer_1)
     with pytest.raises(NumericError) as err:
-        cost_and_grad(params, None, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw)
+        whole_gradient.cost_and_grad(
+            params, None, batch, gains, ConstraintConfig(), NO_SHADOW.noise_dbw
+        )
     assert err.value.layer == 1
 
 

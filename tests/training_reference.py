@@ -1,18 +1,23 @@
-"""Whole-vector references of the package's Adam step and training loop.
+"""Whole-vector references of the package's Adam step, training loop and
+direct-optimization oracle.
 
 The Adam step runs each operation once over the whole flat vectors, in
 the order of the textbook update. The training loop runs in two phases
-per iteration: the whole gradient from cost_and_grad, then adam_step.
-The training tests assert that the package's chunked step, and its train
-that steps inside backward, match them bit for bit.
+per iteration: the whole gradient, collected from cost_and_grad's step,
+then adam_step. The oracle writes Adam out over the whole power matrix,
+each formula out of place. The tests assert that the package's chunked
+step, its train that steps inside backward, and its oracle that steps
+with adam_stepper match them bit for bit.
 """
 
 import numpy as np
+import whole_gradient
 
 from d2dpower import training
 from d2dpower.channel import build_gain_table
 from d2dpower.errors import NumericDivergenceError
 from d2dpower.network import NetworkParams, init_params, init_stats
+from d2dpower.objective import POWER_CEIL_DBM, POWER_FLOOR_DBM, stacked_cost
 from d2dpower.topology import build_hex_layout, sample_batch
 
 
@@ -54,7 +59,7 @@ def train(cfg):
             layout, cfg.topology.pairs_per_cell, cfg.topology.dmax_m, cfg.batch_size, rng
         )
         gains = build_gain_table(drops, cfg.channel, rng, n)
-        cost, grads, comp = training.cost_and_grad(
+        cost, grads, comp = whole_gradient.cost_and_grad(
             params, stats, drops, gains, cfg.constraints, cfg.channel.noise_dbw
         )
         if not np.isfinite(cost):
@@ -77,3 +82,23 @@ def train(cfg):
                 )
             )
     return params, stats, metrics, adam
+
+
+def oracle_direct_opt(gains, cfg, noise_dbw, n_channels, iters, lr):
+    """Same contract as d2dpower.evaluation.oracle_direct_opt."""
+    g_d2d = np.asarray(gains.g_d2d_db, dtype=float)[None]
+    g_enb = np.asarray(gains.g_enb_db, dtype=float)[None]
+    k = g_d2d.shape[1]
+    p = np.full((k, n_channels), -65.0)
+    beta1, beta2, eps = 0.9, 0.999, 1e-12
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t in range(1, iters + 1):
+        comp = stacked_cost(p[None], g_d2d, g_enb, cfg, noise_dbw, want_grad=True)
+        g = comp.grad_p_dbm[0]
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        step = lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        p = np.clip(p - step, POWER_FLOOR_DBM, POWER_CEIL_DBM)
+    comp = stacked_cost(p[None], g_d2d, g_enb, cfg, noise_dbw)
+    return p, float(comp.total[0])
